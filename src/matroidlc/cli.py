@@ -120,7 +120,7 @@ def _load_matroid(config: RunConfig):
         return matroid_from_json(obj)
     except MatroidLCError as exc:
         raise _InputError(type(exc).__name__, str(exc)) from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise _InputError("SchemaError", f"bad matroid object: {exc}") from exc
 
 
@@ -130,7 +130,7 @@ def _load_polynomial(config: RunConfig):
         return polynomial_from_json(obj)
     except MatroidLCError as exc:
         raise _InputError(type(exc).__name__, str(exc)) from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise _InputError("SchemaError", f"bad polynomial object: {exc}") from exc
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, List, Tuple
 
 from .logconcavity import spectral_nd_report
 from .mason import mason_report
-from .matroid import Matroid, from_independence_family, graphic, linear, uniform
+from .matroid import Matroid, _find, from_independence_family, graphic, linear, uniform
 from .polynomial import independence_polynomial
 
 SCHEMA_VERSION = 1
@@ -53,17 +53,10 @@ class CorpusConfig:
 
 def _is_connected(v: int, edges: Iterable[Tuple[int, int]]) -> bool:
     parent = list(range(v))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in edges:
-        parent[find(a)] = find(b)
-    root = find(0)
-    return all(find(i) == root for i in range(v))
+        parent[_find(parent, a)] = _find(parent, b)
+    root = _find(parent, 0)
+    return all(_find(parent, i) == root for i in range(v))
 
 
 def connected_graphs(max_vertices: int) -> List[Tuple[int, tuple]]:

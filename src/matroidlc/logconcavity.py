@@ -33,8 +33,15 @@ the quadratic at J is log-concave exactly when
 
 is negative semidefinite on the non-loops of M/J, with n' the number of
 elements of M/J and B_ij = 1 precisely when i, j lie in distinct
-parallel classes.  That matrix form is what certify_clc_matroid tests,
-one contraction at a time, in exact arithmetic.
+parallel classes.  With P the element-by-class incidence matrix of the
+c parallel classes, that matrix factors as
+
+    P (J_c - n' I_c) P^T,
+
+and the c x c core has eigenvalues c - n' (once) and -n', so the
+quadratic is log-concave exactly when c <= n'.  That always holds: each
+class holds at least one non-loop, and M/J has n' elements.
+certify_clc_matroid decides each (n', c) core by the exact NSD test.
 """
 
 from __future__ import annotations
@@ -55,8 +62,8 @@ from .errors import (
     NotHomogeneous,
     ZeroAtPoint,
 )
-from .linalg import NsdResult, SymmetricMatrix, float_eigenvalues, is_negative_semidefinite
-from .matroid import Matroid
+from .linalg import SymmetricMatrix, float_eigenvalues, is_negative_semidefinite
+from .matroid import Matroid, ParallelPartition, _find
 from .polynomial import SparsePolynomial, independence_polynomial
 
 
@@ -146,24 +153,17 @@ def is_indecomposable(f: SparsePolynomial) -> IndecomposabilityResult:
     active = sorted(f.active_variables())
     if len(active) <= 1:
         return IndecomposabilityResult(True, None)
-    parent = {i: i for i in active}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = list(range(f.nvars))
     for exp in f.terms:
         prev = None
         for i, e in enumerate(exp):
             if e:
                 if prev is not None:
-                    parent[find(prev)] = find(i)
+                    parent[_find(parent, prev)] = _find(parent, i)
                 prev = i
     roots = {}
     for i in active:
-        roots.setdefault(find(i), []).append(i)
+        roots.setdefault(_find(parent, i), []).append(i)
     if len(roots) == 1:
         return IndecomposabilityResult(True, None)
     components = sorted(roots.values(), key=lambda c: c[0])
@@ -499,6 +499,24 @@ def certify_clc_quadratic_criterion(f: SparsePolynomial) -> CLCCertificate:
 # -- matroid specialization --------------------------------------------------
 
 
+def _class_pattern(part: ParallelPartition) -> tuple:
+    """Non-loops in ascending order, and the class index of each."""
+    index = {e: c for c, cls in enumerate(part.classes) for e in cls}
+    nonloops = tuple(sorted(index))
+    return nonloops, tuple(index[e] for e in nonloops)
+
+
+def _element_matrix(nprime: int, pattern) -> SymmetricMatrix:
+    """P (J_c - n' I_c) P^T for the class index ``pattern`` of the rows.
+
+    Entries are 1 between distinct classes and 1 - n' inside a class and
+    on the diagonal.  With singleton classes this is the c x c core
+    J_c - n' I_c itself.
+    """
+    inside, across = 1 - nprime, 1
+    return SymmetricMatrix([[inside if a == b else across for b in pattern] for a in pattern])
+
+
 def matroid_quadratic_matrix(m: Matroid) -> SymmetricMatrix:
     """The quadratic test matrix n B - (n-1) 11^T on non-loops.
 
@@ -510,24 +528,9 @@ def matroid_quadratic_matrix(m: Matroid) -> SymmetricMatrix:
     if n < 2:
         raise DegreeTooLow(f"quadratic matrix needs at least 2 elements, got {n}")
     part = m.parallel_partition()
-    nonloops = sorted(i for cls in part.classes for i in cls)
-    if not nonloops:
+    if not part.classes:
         raise AllLoops("matroid has no non-loop element")
-    cls_of = {}
-    for idx, cls in enumerate(part.classes):
-        for i in cls:
-            cls_of[i] = idx
-    rows = []
-    for i in nonloops:
-        rows.append(
-            [Fraction(1) if cls_of[i] != cls_of[j] else Fraction(1 - n) for j in nonloops]
-        )
-    return SymmetricMatrix(rows)
-
-
-# Verdicts depend only on (element count, sorted class sizes); permuting
-# labels conjugates the matrix by a permutation.
-_QUADRATIC_NSD_CACHE: dict = {}
+    return _element_matrix(n, _class_pattern(part)[1])
 
 
 def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertificate:
@@ -541,6 +544,17 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
     the parallel-class matrix of M/J; when M/J consists of loops only
     the quadratic is a positive multiple of y^2 and passes outright.
 
+    The parallel-class matrix factors as P (J_c - n' I_c) P^T, with P
+    the element-by-class incidence matrix of the c parallel classes of
+    M/J.  Its verdict is therefore that of the c x c core, which is NSD
+    exactly when c <= n'; and c <= n' always holds, since every class
+    holds at least one of the n' elements.  Each (n', c) core is decided
+    once by the exact NSD test, and a core that fails raises
+    ConsistencyError.  One pass over the enumerated family reads the
+    partition of every M/J off the independence masks, and element
+    matrices are shared between contractions with the same n' and class
+    pattern.
+
     Ground sets with fewer than 2 elements are accepted with an empty
     check list: the polynomial has degree below 2 and all its
     derivatives are linear with nonnegative coefficients.
@@ -549,70 +563,40 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
     nv = m.ambient + 1
     if n < 2:
         return CLCCertificate(True, nv, n, (), None)
-    fam = sorted(m.independent_set_masks(limit), key=lambda x: (x.bit_count(), x))
     checks = []
-    failure = None
-    for jmask in fam:
-        j = jmask.bit_count()
-        if j > n - 2:
+    cores = set()
+    matrices = {}
+    for jmask in m.independent_set_masks(limit):
+        nprime = n - jmask.bit_count()
+        if nprime < 2:
             continue
-        contraction = m.contract(_labels(jmask))
-        part = contraction.parallel_partition()
-        nonloops = sorted(i for cls in part.classes for i in cls)
-        nprime = n - j
-        base_alpha = [0] * nv
-        rest = jmask
-        while rest:
-            bit = rest & -rest
-            base_alpha[bit.bit_length()] = 1
-            rest ^= bit
+        zpart = tuple((jmask >> i) & 1 for i in range(nv - 1))
         for k in range(nprime - 1):
-            alpha = tuple([k] + base_alpha[1:])
-            checks.append(CertificateCheck(alpha, "indecomposable", True))
-        alpha_q = tuple([nprime - 2] + base_alpha[1:])
-        if not nonloops:
+            checks.append(CertificateCheck((k,) + zpart, "indecomposable", True))
+        alpha_q = (nprime - 2,) + zpart
+        part = m._partition_after(jmask)
+        if not part.classes:
             checks.append(CertificateCheck(alpha_q, "quadratic-nsd", True))
             continue
-        matrix = matroid_quadratic_matrix(contraction)
-        sig = (nprime, tuple(sorted(len(c) for c in part.classes)))
-        cached = _QUADRATIC_NSD_CACHE.get(sig)
-        if cached is None or cached is False:
-            res = is_negative_semidefinite(matrix)
-            _QUADRATIC_NSD_CACHE[sig] = res.is_nsd
-        else:
-            res = NsdResult(True, None)
+        c = len(part.classes)
+        if (nprime, c) not in cores:
+            if not is_negative_semidefinite(_element_matrix(nprime, range(c))):
+                raise ConsistencyError(
+                    f"class core J_c - n'I_c is not NSD for n' = {nprime}, c = {c}"
+                )
+            cores.add((nprime, c))
+        nonloops, pattern = _class_pattern(part)
+        key = (nprime, pattern)
+        matrix = matrices.get(key)
+        if matrix is None:
+            matrix = matrices[key] = _element_matrix(nprime, pattern)
         checks.append(
             CertificateCheck(
-                alpha_q,
-                "quadratic-nsd",
-                bool(res),
-                witness_vector=res.witness,
-                witness_labels=tuple(nonloops),
-                matrix=matrix,
+                alpha_q, "quadratic-nsd", True, witness_labels=nonloops, matrix=matrix
             )
         )
-        if not res:
-            failure = checks[-1]
-            break
     checks.sort(key=_canonical_alpha_key)
-    return CLCCertificate(
-        accepted=failure is None,
-        nvars=nv,
-        degree=n,
-        checks=tuple(checks),
-        failure=failure,
-    )
-
-
-def _labels(mask: int) -> tuple:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return CLCCertificate(accepted=True, nvars=nv, degree=n, checks=tuple(checks), failure=None)
 
 
 def verify_certificate_failure(cert: CLCCertificate, source) -> bool:

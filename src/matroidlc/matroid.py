@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -64,6 +65,24 @@ def _mask_bits(mask: int) -> tuple:
 
 def _set_of(mask: int) -> frozenset:
     return frozenset(_mask_bits(mask))
+
+
+def _find(parent: list, x: int) -> int:
+    """Union-find root of x, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _not_transitive(a: int, b: int, c: int) -> None:
+    """Raise for single-bit masks a, b, c with a parallel to b and to c
+    although b and c are not parallel."""
+    a, b, c = (x.bit_length() for x in (a, b, c))
+    raise NotAMatroid(
+        f"parallelism not transitive: {a} is parallel to {b} and to {c}, "
+        f"but {b} and {c} are not parallel"
+    )
 
 
 @dataclass(frozen=True)
@@ -209,44 +228,47 @@ class Matroid:
         return tuple(counts)
 
     def parallel_partition(self) -> ParallelPartition:
-        """Loops and parallel classes from singleton and pair ranks.
+        """Loops and parallel classes from singleton and pair ranks."""
+        return self._partition_after(0)
 
-        Parallelism must be transitive on a real matroid; the check is
-        kept because explicit families can be constructed with
-        validation switched off.
+    def _partition_after(self, jmask: int) -> ParallelPartition:
+        """Loops and parallel classes of M/J for an independent mask J.
+
+        An element e outside J is a loop of M/J when J + e is dependent.
+        Otherwise it joins the class of the earlier non-loops r with
+        J + e + r dependent, or opens a class of its own.  Parallelism
+        must be transitive on a real matroid, so e must be parallel to
+        every member of at most one class; the check is kept because
+        explicit families can be constructed with validation switched
+        off.
         """
+        indep = self._is_independent_mask
         loops = []
-        non = []
-        for i in self.ground:
-            bit = 1 << (i - 1)
-            (non if self._is_independent_mask(bit) else loops).append(i)
-        parent = {i: i for i in non}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        dependent_pair = {}
-        for i, j in combinations(non, 2):
-            dep = not self._is_independent_mask((1 << (i - 1)) | (1 << (j - 1)))
-            dependent_pair[(i, j)] = dep
-            if dep:
-                parent[find(i)] = find(j)
-        classes = {}
-        for i in non:
-            classes.setdefault(find(i), []).append(i)
-        parts = tuple(
-            sorted((frozenset(v) for v in classes.values()), key=min)
-        )
-        for part in parts:
-            for i, j in combinations(sorted(part), 2):
-                if not dependent_pair[(i, j)]:
-                    raise NotAMatroid(
-                        f"parallelism not transitive: {i} and {j} landed in one "
-                        f"class but their pair is independent"
-                    )
+        classes = []
+        rest = self._ground_mask & ~jmask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            je = jmask | bit
+            if not indep(je):
+                loops.append(bit.bit_length())
+                continue
+            home = None
+            for cls in classes:
+                hits = [r for r in cls if not indep(je | r)]
+                if not hits:
+                    continue
+                if len(hits) < len(cls):
+                    miss = next(r for r in cls if r not in hits)
+                    _not_transitive(hits[0], bit, miss)
+                if home is not None:
+                    _not_transitive(bit, home[0], cls[0])
+                home = cls
+            if home is None:
+                classes.append([bit])
+            else:
+                home.append(bit)
+        parts = tuple(frozenset(r.bit_length() for r in cls) for cls in classes)
         return ParallelPartition(frozenset(loops), parts)
 
     def __repr__(self) -> str:
@@ -316,18 +338,11 @@ class GraphicMatroid(Matroid):
 
     def _indep_impl(self, mask: int) -> bool:
         parent = list(range(self.vertices + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         m = mask
         while m:
             bit = m & -m
             u, v = self.edges[bit.bit_length() - 1]
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv:
                 return False
             parent[ru] = rv
@@ -335,30 +350,23 @@ class GraphicMatroid(Matroid):
         return True
 
     def _enumerate_masks(self) -> Iterable[int]:
-        # DFS carrying the union-find forest as an immutable tuple.
+        # DFS carrying a private copy of the union-find forest per node.
         edges = self.edges
         labels = self.ground
-
-        def find(parent, x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        root = tuple(range(self.vertices + 1))
         found = [0]
-        stack = [(0, 0, root)]
+        stack = [(0, 0, list(range(self.vertices + 1)))]
         while stack:
             mask, start, parent = stack.pop()
             for idx in range(start, len(labels)):
                 u, v = edges[labels[idx] - 1]
-                ru, rv = find(parent, u), find(parent, v)
+                ru, rv = _find(parent, u), _find(parent, v)
                 if ru == rv:
                     continue
-                child = list(parent)
+                child = parent.copy()
                 child[ru] = rv
                 cand = mask | (1 << (labels[idx] - 1))
                 found.append(cand)
-                stack.append((cand, idx + 1, tuple(child)))
+                stack.append((cand, idx + 1, child))
         return found
 
     def to_json(self) -> dict:
@@ -399,7 +407,7 @@ class LinearMatroid(Matroid):
                 lcm = 1
                 for x in col:
                     d = x.denominator
-                    g = _gcd(lcm, d)
+                    g = gcd(lcm, d)
                     lcm = lcm // g * d
                 norm.append(tuple(int(x * lcm) for x in col))
         super().__init__((1 << len(norm)) - 1, len(norm))
@@ -482,18 +490,11 @@ class _Contraction(Matroid):
         return self.base._is_independent_mask(mask | self.smask)
 
     def _enumerate_masks(self) -> Iterable[int]:
-        try:
-            fam = self.base.independent_set_masks()
-        except EnumerationLimitExceeded:
+        fam = self.base._family_cache
+        if fam is None:
             return super()._enumerate_masks()
         s = self.smask
         return [m & ~s for m in fam if m & s == s]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _is_prime(p: int) -> bool:

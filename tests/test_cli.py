@@ -261,3 +261,28 @@ def test_enumeration_bound_hard_cap(write_json, capsys):
     )
     assert code == 2
     assert payload["error"]["type"] == "UsageError"
+
+
+@pytest.mark.parametrize(
+    "args, name, obj",
+    [
+        (
+            ["rank-sequence", "--input"],
+            "m.json",
+            {"kind": "linear", "modulus": 0, "columns": [["1/0", "1"]]},
+        ),
+        (
+            ["certify-clc", "--poly"],
+            "p.json",
+            {"nvars": 2, "terms": [{"exp": [1, 1], "coeff": "1/0"}]},
+        ),
+    ],
+)
+def test_zero_denominator_is_schema_error(write_json, capsys, args, name, obj):
+    code = cli.main(args + [write_json(name, obj)])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "SchemaError"
+    assert "Traceback" not in captured.err

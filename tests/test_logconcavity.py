@@ -14,6 +14,7 @@ from matroidlc import (
     AllLoops,
     DegreeTooLow,
     NegativeCoefficient,
+    NotAMatroid,
     NotHomogeneous,
     SparsePolynomial,
     SymmetricMatrix,
@@ -21,6 +22,7 @@ from matroidlc import (
     bases_polynomial,
     certify_clc_matroid,
     certify_clc_quadratic_criterion,
+    from_independence_family,
     independence_polynomial,
     is_indecomposable,
     is_negative_semidefinite,
@@ -297,7 +299,44 @@ def test_class_matrices_are_negative_semidefinite_on_zoo():
         assert is_negative_semidefinite(matrix).is_nsd
 
 
+@pytest.mark.parametrize("m", helpers.zoo(), ids=lambda m: repr(m))
+def test_class_matrix_factors_through_class_core(m):
+    # n'B - (n'-1)11^T = P (J_c - n'I_c) P^T with P the element-by-class
+    # incidence matrix, so the c x c core decides the verdict
+    for j in m.independent_sets():
+        contraction = m.contract(j)
+        nprime = contraction.n_elements
+        part = contraction.parallel_partition()
+        if nprime < 2 or not part.classes:
+            continue
+        classes = part.classes
+        c = len(classes)
+        assert c <= nprime
+        core = [[1 - nprime if a == b else 1 for b in range(c)] for a in range(c)]
+        nonloops = sorted(e for cls in classes for e in cls)
+        incidence = [[int(e in cls) for cls in classes] for e in nonloops]
+        expected = [
+            [
+                sum(pa * core[a][b] * pb for a, pa in enumerate(pe) for b, pb in enumerate(pf))
+                for pf in incidence
+            ]
+            for pe in incidence
+        ]
+        matrix = matroid_quadratic_matrix(contraction)
+        assert rows_int(matrix) == expected
+        assert (
+            is_negative_semidefinite(matrix).is_nsd
+            == is_negative_semidefinite(SymmetricMatrix(core)).is_nsd
+        )
+
+
 # -- matroid certifier ----------------------------------------------------------
+
+
+def test_matroid_certificate_rejects_non_transitive_parallelism():
+    m = from_independence_family(3, [[], [1], [2], [3], [1, 3]], validate=False)
+    with pytest.raises(NotAMatroid):
+        certify_clc_matroid(m)
 
 
 def test_matroid_certificate_uniform_2_3():

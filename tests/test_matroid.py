@@ -26,6 +26,7 @@ from matroidlc import (
     InvalidRank,
     InvalidVertexIndex,
     NonPrimeModulus,
+    NotAMatroid,
     NotIndependent,
     from_independence_family,
     graphic,
@@ -211,6 +212,14 @@ def test_pair_ranks_define_classes(m):
                 assert (m.rank_of([a, b]) == 1) == same
 
 
+def test_partition_rejects_non_transitive_parallelism():
+    # {1,2} and {2,3} dependent but {1,3} independent: 2 is parallel to
+    # both 1 and 3, which are not parallel to each other
+    m = from_independence_family(3, [[], [1], [2], [3], [1, 3]], validate=False)
+    with pytest.raises(NotAMatroid):
+        m.parallel_partition()
+
+
 # -- contraction ---------------------------------------------------------------
 
 
@@ -236,6 +245,14 @@ def test_contract_uniform_keeps_labels():
     c = uniform(2, 3).contract([1])
     assert c.ground == (2, 3)
     assert c.count_independent_by_size() == (1, 2, 0)
+
+
+def test_contraction_enumeration_keeps_base_unenumerated():
+    base = uniform(3, 8)
+    c = base.contract([1, 2])
+    masks = c.independent_set_masks(limit=6)
+    assert sorted(masks) == [0] + [1 << i for i in range(2, 8)]
+    assert base._family_cache is None
 
 
 def test_contract_requires_independent_set():
