@@ -19,7 +19,8 @@ Exit codes: 0 every verdict positive, 1 a verdict failed (the JSON
 carries a re-verified witness), 2 usage or input error (the JSON is a
 machine-readable error object).  The enumeration bound is capped at 24
 elements; the default of 20 can be overridden per run with
---enumeration-bound or the MATROIDLC_ENUMERATION_BOUND variable.
+--enumeration-bound or the MATROIDLC_ENUMERATION_BOUND variable.  A
+--poly input has at most MAX_POLY_NVARS = 25 variables.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ from .polynomial import (
 )
 
 MAX_ENUMERATION_BOUND = 24
+# g_M of the largest enumerable ground set has this many variables; a
+# --poly input may have no more, since its Hessian has nvars^2 entries.
+MAX_POLY_NVARS = MAX_ENUMERATION_BOUND + 1
 ENV_ENUMERATION_BOUND = "MATROIDLC_ENUMERATION_BOUND"
 
 
@@ -86,6 +90,14 @@ class _InputError(Exception):
         self.type_name = type_name
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as _InputError instead of exiting; subparsers
+    are built from the same class."""
+
+    def error(self, message):
+        raise _InputError("UsageError", message)
+
+
 def _emit(config: RunConfig, payload: dict, summary: str) -> None:
     payload.setdefault("schema_version", SCHEMA_VERSION)
     payload.setdefault("command", config.command)
@@ -97,6 +109,16 @@ def _emit(config: RunConfig, payload: dict, summary: str) -> None:
         sys.stdout.write(text + "\n")
         sys.stdout.flush()
     print(summary, file=sys.stderr)
+
+
+def _emit_error(config: RunConfig, exc: Exception) -> int:
+    type_name = getattr(exc, "type_name", type(exc).__name__)
+    _emit(
+        config,
+        {"error": {"type": type_name, "message": str(exc)}},
+        f"{config.command}: error: {exc}",
+    )
+    return 2
 
 
 def _load_json(path: str) -> dict:
@@ -127,11 +149,16 @@ def _load_matroid(config: RunConfig):
 def _load_polynomial(config: RunConfig):
     obj = _load_json(config.poly_path)
     try:
-        return polynomial_from_json(obj)
+        f = polynomial_from_json(obj)
     except MatroidLCError as exc:
         raise _InputError(type(exc).__name__, str(exc)) from exc
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise _InputError("SchemaError", f"bad polynomial object: {exc}") from exc
+    if f.nvars > MAX_POLY_NVARS:
+        raise _InputError(
+            "SchemaError", f"polynomial has {f.nvars} variables, at most {MAX_POLY_NVARS}"
+        )
+    return f
 
 
 def _parse_point(text: str, nvars: int) -> tuple:
@@ -352,24 +379,12 @@ def run(config: RunConfig) -> int:
                 f"got {config.enumeration_bound}",
             )
         return _HANDLERS[config.command](config)
-    except _InputError as exc:
-        _emit(
-            config,
-            {"error": {"type": exc.type_name, "message": str(exc)}},
-            f"{config.command}: error: {exc}",
-        )
-        return 2
-    except MatroidLCError as exc:
-        _emit(
-            config,
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            f"{config.command}: error: {exc}",
-        )
-        return 2
+    except (_InputError, MatroidLCError) as exc:
+        return _emit_error(config, exc)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matroidlc",
         description="Exact matroid log-concavity toolkit (JSON in, JSON out).",
     )
@@ -439,20 +454,19 @@ def _resolve_bound(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except _InputError as exc:
+        command = next((a for a in argv if a in _HANDLERS), parser.prog)
+        return _emit_error(RunConfig(command=command), exc)
     config = RunConfig(command=args.command)
     try:
         config.enumeration_bound = _resolve_bound(args)
     except _InputError as exc:
-        _emit(
-            config,
-            {"error": {"type": exc.type_name, "message": str(exc)}},
-            f"{config.command}: error: {exc}",
-        )
-        return 2
+        return _emit_error(config, exc)
     config.input_path = getattr(args, "input", None)
     config.poly_path = getattr(args, "poly", None)
     config.output_path = getattr(args, "output", None)

@@ -93,9 +93,11 @@ def log_hessian_numerator(f: SparsePolynomial, a: Sequence) -> SymmetricMatrix:
     share definiteness whenever f(a) != 0.
     """
     a = _rational_point(f, a, require_nonneg=False)
-    fa = f.evaluate(a)
-    grad = f.gradient(a)
-    return f.hessian(a).scaled(fa) - SymmetricMatrix.outer(grad)
+    return _pair_matrix(f, a, f.evaluate(a))
+
+
+def _pair_matrix(f: SparsePolynomial, a: tuple, fa: Fraction) -> SymmetricMatrix:
+    return f.hessian(a).scaled(fa) - SymmetricMatrix.outer(f.gradient(a))
 
 
 def log_concavity_test_matrix(f: SparsePolynomial, a: Sequence) -> SymmetricMatrix:
@@ -677,7 +679,7 @@ def spectral_nd_report(f: SparsePolynomial, a: Optional[Sequence] = None) -> Spe
     fa = f.evaluate(a)
     if fa <= 0:
         raise ZeroAtPoint("spectral report requires f(a) > 0")
-    numerator = log_hessian_numerator(f, a)
+    numerator = _pair_matrix(f, a, fa)
     scaled = numerator.scaled(Fraction(1, 1) / (fa * fa))
     return SpectralReport(
         point=a,

@@ -96,10 +96,6 @@ class ParallelPartition:
     loops: frozenset
     classes: tuple
 
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
-
     def class_of(self, element: int) -> frozenset:
         for cls in self.classes:
             if element in cls:
@@ -497,18 +493,33 @@ class _Contraction(Matroid):
         return [m & ~s for m in fam if m & s == s]
 
 
+# Miller-Rabin on the first 13 primes as bases decides primality exactly
+# below 3317044064679887385961981, the least strong pseudoprime to all of them.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_MODULUS = 3317044064679887385961980
+
+
 def _is_prime(p: int) -> bool:
+    """Exact for p <= MAX_PRIME_MODULUS, in time polynomial in log p."""
     if p < 2:
         return False
-    if p < 4:
+    if p in _PRIME_BASES:
         return True
-    if p % 2 == 0:
+    if any(p % b == 0 for b in _PRIME_BASES):
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -616,6 +627,8 @@ def graphic(vertices: int, edges: Sequence) -> GraphicMatroid:
 
 
 def linear(columns: Sequence, modulus: int = 0) -> LinearMatroid:
+    if modulus > MAX_PRIME_MODULUS:
+        raise ValueError(f"modulus {modulus} exceeds {MAX_PRIME_MODULUS}")
     if modulus != 0 and not _is_prime(modulus):
         raise NonPrimeModulus(f"modulus {modulus} is not prime")
     return LinearMatroid(columns, modulus)

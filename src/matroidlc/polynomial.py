@@ -1,9 +1,12 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial is a mapping from exponent vectors (tuples of nonnegative
-ints, one slot per variable) to nonzero Fraction coefficients.  Zero
-coefficients are dropped on construction, so the zero polynomial is the
-empty mapping and equality is plain dict equality.  The canonical term
+ints, one slot per variable) to nonzero exact coefficients: an integral
+coefficient is stored as an int and any other as a Fraction, so equal
+values are stored alike and the integer case never pays for Fraction
+arithmetic.  Values at a rational point are returned as Fractions.
+Zero coefficients are dropped on construction, so the zero polynomial is
+the empty mapping and equality is plain dict equality.  The canonical term
 order used for serialization and printing is ascending total degree with
 lexicographic ties.
 
@@ -23,25 +26,31 @@ polynomials rather than equal up to relabeling.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import perm
 from types import MappingProxyType
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NotHomogeneous
 from .linalg import SymmetricMatrix
 from .matroid import Matroid
 
 
-def _as_coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _as_coeff(c):
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
 
 
+def _exact(v):
+    """An int value as a Fraction; Fractions and floats pass through."""
+    return Fraction(v) if isinstance(v, int) else v
+
+
 class SparsePolynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact int or Fraction coefficients."""
 
     __slots__ = ("nvars", "_terms")
 
@@ -87,8 +96,8 @@ class SparsePolynomial:
     def terms(self):
         return MappingProxyType(self._terms)
 
-    def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exp), Fraction(0))
+    def coefficient(self, exp: Sequence[int]):
+        return self._terms.get(tuple(exp), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -146,7 +155,7 @@ class SparsePolynomial:
         self._check_same_space(other)
         out = dict(self._terms)
         for exp, c in other._terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
+            out[exp] = out.get(exp, 0) + c
         return SparsePolynomial(self.nvars, out)
 
     def __neg__(self) -> "SparsePolynomial":
@@ -166,7 +175,7 @@ class SparsePolynomial:
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
                 exp = tuple(x + y for x, y in zip(ea, eb))
-                out[exp] = out.get(exp, Fraction(0)) + ca * cb
+                out[exp] = out.get(exp, 0) + ca * cb
         return SparsePolynomial(self.nvars, out)
 
     __rmul__ = __mul__
@@ -212,7 +221,7 @@ class SparsePolynomial:
             if not v:
                 continue
             for exp, c in self.partial_derivative(i)._terms.items():
-                out[exp] = out.get(exp, Fraction(0)) + v * c
+                out[exp] = out.get(exp, 0) + v * c
         return SparsePolynomial(self.nvars, out)
 
     def derivative_multi(self, alpha: Sequence[int]) -> "SparsePolynomial":
@@ -236,55 +245,52 @@ class SparsePolynomial:
 
     # -- evaluation ----------------------------------------------------------
 
+    def _values_at(self, point: Sequence, order: int) -> dict:
+        """{alpha: d^alpha f(point)} for the sorted index tuples alpha of
+        length ``order`` (at most 2), from one pass over the terms.
+
+        jet[i][k][e] = e!/(e-k)! * x_i^(e-k) is the k-th derivative of
+        x_i^e (zero when k > e); integral coordinates are multiplied as
+        ints.
+        """
+        point = tuple(point)
+        if len(point) != self.nvars:
+            raise DimensionMismatch(
+                f"point of length {len(point)} for {self.nvars} variables"
+            )
+        jet = []
+        # m is the largest exponent of x in any term
+        for x, m in zip(point, map(max, zip(*self._terms))):
+            if isinstance(x, Fraction) and x.denominator == 1:
+                x = x.numerator
+            jet.append([[perm(e, k) * x ** max(e - k, 0) for e in range(m + 1)]
+                        for k in range(order + 1)])
+        out = {}
+        for exp, c in self._terms.items():
+            idx = [i for i, e in enumerate(exp) if e]
+            for alpha in combinations_with_replacement(idx, order):
+                v = c
+                for i in idx:
+                    v = v * jet[i][alpha.count(i)][exp[i]]
+                out[alpha] = out.get(alpha, 0) + v
+        return out
+
     def evaluate(self, point: Sequence):
         """Evaluate at a point; exact for int/Fraction coordinates,
         floating point when given floats."""
-        point = tuple(point)
-        if len(point) != self.nvars:
-            raise DimensionMismatch(
-                f"point of length {len(point)} for {self.nvars} variables"
-            )
-        if not self._terms:
-            return Fraction(0)
-        maxes = [0] * self.nvars
-        for exp in self._terms:
-            for i, e in enumerate(exp):
-                if e > maxes[i]:
-                    maxes[i] = e
-        pows = []
-        for x, m in zip(point, maxes):
-            row = [1]
-            for _ in range(m):
-                row.append(row[-1] * x)
-            pows.append(row)
-        total = Fraction(0)
-        for exp, c in self._terms.items():
-            v = c
-            for i, e in enumerate(exp):
-                if e:
-                    v = v * pows[i][e]
-            total = total + v
-        return total
+        return _exact(self._values_at(point, 0).get((), 0))
 
     def gradient(self, point: Sequence) -> tuple:
-        return tuple(self.partial_derivative(i).evaluate(point) for i in range(self.nvars))
+        values = self._values_at(point, 1)
+        return tuple(_exact(values.get((i,), 0)) for i in range(self.nvars))
 
     def hessian(self, point: Sequence) -> SymmetricMatrix:
         """Exact Hessian matrix; the point must be rational."""
-        point = tuple(point)
-        if len(point) != self.nvars:
-            raise DimensionMismatch(
-                f"point of length {len(point)} for {self.nvars} variables"
-            )
+        values = self._values_at(point, 2)
         n = self.nvars
-        firsts = [self.partial_derivative(i) for i in range(n)]
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                v = firsts[i].partial_derivative(j).evaluate(point)
-                rows[i][j] = v
-                rows[j][i] = v
-        return SymmetricMatrix(rows)
+        return SymmetricMatrix(
+            [[values.get((min(i, j), max(i, j)), 0) for j in range(n)] for i in range(n)]
+        )
 
     # -- substitution ----------------------------------------------------------
 
@@ -377,6 +383,11 @@ def matroid_variable_names(ambient: int) -> tuple:
 # -- matroid generating polynomials -------------------------------------
 
 
+def _mask_exponent(mask: int, ambient: int) -> tuple:
+    """The 0/1 exponent vector of z^I for the element mask of I."""
+    return tuple((mask >> i) & 1 for i in range(ambient))
+
+
 def independence_polynomial(m: Matroid, limit: Optional[int] = None) -> SparsePolynomial:
     """g_M(y, z) = sum over independent I of y^(|ground| - |I|) z^I.
 
@@ -387,14 +398,7 @@ def independence_polynomial(m: Matroid, limit: Optional[int] = None) -> SparsePo
     nv = m.ambient + 1
     terms = {}
     for mask in m.independent_set_masks(limit):
-        exp = [0] * nv
-        exp[0] = degree - mask.bit_count()
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            exp[bit.bit_length()] = 1
-            rest ^= bit
-        terms[tuple(exp)] = 1
+        terms[(degree - mask.bit_count(),) + _mask_exponent(mask, m.ambient)] = 1
     return SparsePolynomial(nv, terms)
 
 
@@ -408,15 +412,8 @@ def bases_polynomial(m: Matroid, limit: Optional[int] = None) -> SparsePolynomia
     r = m.rank
     terms = {}
     for mask in m.independent_set_masks(limit):
-        if mask.bit_count() != r:
-            continue
-        exp = [0] * nv
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            exp[bit.bit_length() - 1] = 1
-            rest ^= bit
-        terms[tuple(exp)] = 1
+        if mask.bit_count() == r:
+            terms[_mask_exponent(mask, nv)] = 1
     return SparsePolynomial(nv, terms)
 
 
@@ -447,5 +444,5 @@ def polynomial_from_json(obj: dict) -> SparsePolynomial:
     for item in obj["terms"]:
         exp = tuple(int(e) for e in item["exp"])
         coeff = Fraction(str(item["coeff"]))
-        terms[exp] = terms.get(exp, Fraction(0)) + coeff
+        terms[exp] = terms.get(exp, 0) + coeff
     return SparsePolynomial(nvars, terms)

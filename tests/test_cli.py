@@ -286,3 +286,48 @@ def test_zero_denominator_is_schema_error(write_json, capsys, args, name, obj):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "SchemaError"
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args", [["mason", "--input", "m.json", "--bogus"], [], ["mason", "--seed", "x"]]
+)
+def test_usage_errors_are_json(capsys, args):
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "UsageError"
+    assert "Traceback" not in captured.err
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "usage" in capsys.readouterr().out
+
+
+def test_large_prime_modulus_accepted(write_json, capsys):
+    columns = [[1, 0], [0, 1], [1, 1]]
+    m = write_json("m.json", {"kind": "linear", "modulus": 10**18 + 9, "columns": columns})
+    code, payload, _ = invoke(capsys, ["rank-sequence", "--input", m])
+    assert code == 0
+    assert payload["sequence"] == [1, 3, 3, 0]
+
+
+def test_modulus_beyond_exact_primality_is_schema_error(write_json, capsys):
+    m = write_json("m.json", {"kind": "linear", "modulus": 10**25, "columns": [[1]]})
+    code, payload, _ = invoke(capsys, ["rank-sequence", "--input", m])
+    assert code == 2
+    assert payload["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize("nvars, code", [(cli.MAX_POLY_NVARS, 0), (cli.MAX_POLY_NVARS + 1, 2)])
+def test_poly_nvars_bound(write_json, capsys, nvars, code):
+    square = {"exp": [2] + [0] * (nvars - 1), "coeff": "1"}
+    p = write_json("p.json", {"nvars": nvars, "terms": [square]})
+    got, payload, _ = invoke(capsys, ["spectral", "--poly", p])
+    assert got == code
+    if code == 2:
+        assert payload["error"]["type"] == "SchemaError"
+    else:
+        assert len(payload["pair_matrix"]) == nvars

@@ -1,6 +1,7 @@
 """Matroid construction, validation, queries, and contraction."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from matroidlc import (
     matroid_to_json,
     uniform,
 )
+from matroidlc.matroid import MAX_PRIME_MODULUS, _is_prime
 
 
 # -- spec'd count and family examples -----------------------------------
@@ -132,6 +134,25 @@ def test_constructor_input_errors():
         graphic(2, [(1, 3)])
     with pytest.raises(NonPrimeModulus):
         linear([[1], [0]], 4)
+
+
+def test_primality_is_exact_and_fast():
+    small = [n for n in range(2, 3000) if all(n % d for d in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(3000) if _is_prime(n)] == small
+    # a Carmichael number, and a strong pseudoprime to every prime base up to 23
+    for composite in (561, 3825123056546413051):
+        with pytest.raises(NonPrimeModulus):
+            linear([[1], [0]], composite)
+    big = 10**18 + 9
+    start = time.perf_counter()
+    m = linear([[1, 0], [0, 1], [1, 1]], big)
+    assert m.count_independent_by_size() == (1, 3, 3, 0)
+    assert time.perf_counter() - start < 5
+
+
+def test_modulus_beyond_exact_primality_rejected():
+    with pytest.raises(ValueError):
+        linear([[1], [0]], MAX_PRIME_MODULUS + 1)
 
 
 def test_element_out_of_range():

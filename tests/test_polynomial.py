@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,67 @@ def test_gradient_example():
 def test_evaluate_dimension_checked():
     with pytest.raises(DimensionMismatch):
         P(2, {(1, 1): 1}).evaluate((1,))
+
+
+def _random_polynomial(rng, nv):
+    """Mixed-sign int and Fraction coefficients, exponents up to 3."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        exp = tuple(rng.randint(0, 3) for _ in range(nv))
+        if rng.random() < 0.5:
+            terms[exp] = rng.randint(-9, 9)
+        else:
+            terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return P(nv, terms)
+
+
+def test_values_match_symbolic_route():
+    rng = random.Random(5)
+    for _ in range(60):
+        nv = rng.randint(1, 4)
+        f = _random_polynomial(rng, nv)
+        a = tuple(
+            rng.choice([Fraction(0), Fraction(rng.randint(1, 7), rng.randint(1, 4)), 2])
+            for _ in range(nv)
+        )
+        value = f.evaluate(a)
+        assert isinstance(value, Fraction)
+        assert value == sum(
+            (c * prod(Fraction(x) ** e for x, e in zip(a, exp)) for exp, c in f.terms.items()),
+            Fraction(0),
+        )
+        grad = f.gradient(a)
+        hess = f.hessian(a)
+        for i in range(nv):
+            fi = f.partial_derivative(i)
+            assert isinstance(grad[i], Fraction)
+            assert grad[i] == fi.evaluate(a)
+            for j in range(nv):
+                assert hess[i, j] == fi.partial_derivative(j).evaluate(a)
+
+
+def test_evaluate_at_float_point_returns_float():
+    f = P(2, {(2, 1): 3, (0, 1): Fraction(1, 2)})
+    value = f.evaluate((0.5, 2.0))
+    assert isinstance(value, float)
+    assert value == 2.5
+
+
+def test_integral_coefficients_stored_as_int():
+    f = P(2, {(1, 1): Fraction(4, 2), (2, 0): True, (0, 2): Fraction(1, 3)})
+    c = f.terms[(1, 1)]
+    assert type(c) is int and c == 2
+    assert c == Fraction(2) and hash(c) == hash(Fraction(2))
+    assert type(f.terms[(2, 0)]) is int and f.terms[(2, 0)] == 1
+    assert f.terms[(0, 2)] == Fraction(1, 3)
+    assert polynomial_to_json(f) == {
+        "nvars": 2,
+        "terms": [
+            {"exp": [0, 2], "coeff": "1/3"},
+            {"exp": [1, 1], "coeff": "2"},
+            {"exp": [2, 0], "coeff": "1"},
+        ],
+    }
 
 
 def test_euler_identity_symbolically():
