@@ -26,12 +26,12 @@ elements; the default of 20 can be overridden per run with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional
 
 from .corpus import SCHEMA_VERSION, CorpusConfig, run_sweep
@@ -104,9 +104,12 @@ def _emit(config: RunConfig, payload: dict, summary: str) -> None:
     payload.setdefault("seed", config.seed)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if config.output_path:
-        Path(config.output_path).write_text(text + "\n", encoding="utf-8")
+        with open(config.output_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
         sys.stdout.flush()
     print(summary, file=sys.stderr)
 
@@ -383,7 +386,9 @@ def run(config: RunConfig) -> int:
         return _emit_error(config, exc)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; it is never mutated."""
     parser = _Parser(
         prog="matroidlc",
         description="Exact matroid log-concavity toolkit (JSON in, JSON out).",

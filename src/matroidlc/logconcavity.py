@@ -63,7 +63,7 @@ from .errors import (
     ZeroAtPoint,
 )
 from .linalg import SymmetricMatrix, float_eigenvalues, is_negative_semidefinite
-from .matroid import Matroid, ParallelPartition, _find
+from .matroid import Matroid, _find
 from .polynomial import SparsePolynomial, independence_polynomial
 
 
@@ -345,7 +345,7 @@ def log_concavity_condition_report(
 # -- complete log-concavity certificates -----------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateCheck:
     """One verified condition inside a certificate.
 
@@ -501,13 +501,6 @@ def certify_clc_quadratic_criterion(f: SparsePolynomial) -> CLCCertificate:
 # -- matroid specialization --------------------------------------------------
 
 
-def _class_pattern(part: ParallelPartition) -> tuple:
-    """Non-loops in ascending order, and the class index of each."""
-    index = {e: c for c, cls in enumerate(part.classes) for e in cls}
-    nonloops = tuple(sorted(index))
-    return nonloops, tuple(index[e] for e in nonloops)
-
-
 def _element_matrix(nprime: int, pattern) -> SymmetricMatrix:
     """P (J_c - n' I_c) P^T for the class index ``pattern`` of the rows.
 
@@ -529,10 +522,10 @@ def matroid_quadratic_matrix(m: Matroid) -> SymmetricMatrix:
     n = m.n_elements
     if n < 2:
         raise DegreeTooLow(f"quadratic matrix needs at least 2 elements, got {n}")
-    part = m.parallel_partition()
-    if not part.classes:
+    nonloops, pattern = m._classes_after(0)
+    if not nonloops:
         raise AllLoops("matroid has no non-loop element")
-    return _element_matrix(n, _class_pattern(part)[1])
+    return _element_matrix(n, pattern)
 
 
 def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertificate:
@@ -552,10 +545,11 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
     exactly when c <= n'; and c <= n' always holds, since every class
     holds at least one of the n' elements.  Each (n', c) core is decided
     once by the exact NSD test, and a core that fails raises
-    ConsistencyError.  One pass over the enumerated family reads the
-    partition of every M/J off the independence masks, and element
-    matrices are shared between contractions with the same n' and class
-    pattern.
+    ConsistencyError.  The checks are built in canonical order from the
+    enumerated family bucketed by |J|, with no sort over the checks.
+    One class pass per J reads the parallel classes of M/J off the
+    independence masks, and element matrices are shared between
+    contractions with the same n' and class pattern.
 
     Ground sets with fewer than 2 elements are accepted with an empty
     check list: the polynomial has degree below 2 and all its
@@ -565,39 +559,51 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
     nv = m.ambient + 1
     if n < 2:
         return CLCCertificate(True, nv, n, (), None)
+    # buckets[s] holds (zpart, J) for the independent J with |J| = s,
+    # sorted by zpart, so the loops below emit the checks in canonical
+    # order: by |alpha| = k + |J|, then k, then zpart, and at each
+    # quadratic alpha the indecomposable check before the quadratic one.
+    buckets = [[] for _ in range(n - 1)]
+    for jmask in m.independent_set_masks(limit):
+        size = jmask.bit_count()
+        if size <= n - 2:
+            buckets[size].append((tuple((jmask >> i) & 1 for i in range(nv - 1)), jmask))
+    for bucket in buckets:
+        bucket.sort()
     checks = []
+    for t in range(n - 2):
+        for k in range(t + 1):
+            checks.extend(
+                CertificateCheck((k,) + zpart, "indecomposable", True)
+                for zpart, _ in buckets[t - k]
+            )
     cores = set()
     matrices = {}
-    for jmask in m.independent_set_masks(limit):
-        nprime = n - jmask.bit_count()
-        if nprime < 2:
-            continue
-        zpart = tuple((jmask >> i) & 1 for i in range(nv - 1))
-        for k in range(nprime - 1):
-            checks.append(CertificateCheck((k,) + zpart, "indecomposable", True))
-        alpha_q = (nprime - 2,) + zpart
-        part = m._partition_after(jmask)
-        if not part.classes:
-            checks.append(CertificateCheck(alpha_q, "quadratic-nsd", True))
-            continue
-        c = len(part.classes)
-        if (nprime, c) not in cores:
-            if not is_negative_semidefinite(_element_matrix(nprime, range(c))):
-                raise ConsistencyError(
-                    f"class core J_c - n'I_c is not NSD for n' = {nprime}, c = {c}"
+    for k in range(n - 1):
+        nprime = k + 2
+        for zpart, jmask in buckets[n - 2 - k]:
+            alpha = (k,) + zpart
+            checks.append(CertificateCheck(alpha, "indecomposable", True))
+            nonloops, pattern = m._classes_after(jmask)
+            if not nonloops:
+                checks.append(CertificateCheck(alpha, "quadratic-nsd", True))
+                continue
+            c = max(pattern) + 1
+            if (nprime, c) not in cores:
+                if not is_negative_semidefinite(_element_matrix(nprime, range(c))):
+                    raise ConsistencyError(
+                        f"class core J_c - n'I_c is not NSD for n' = {nprime}, c = {c}"
+                    )
+                cores.add((nprime, c))
+            key = (nprime, pattern)
+            matrix = matrices.get(key)
+            if matrix is None:
+                matrix = matrices[key] = _element_matrix(nprime, pattern)
+            checks.append(
+                CertificateCheck(
+                    alpha, "quadratic-nsd", True, witness_labels=nonloops, matrix=matrix
                 )
-            cores.add((nprime, c))
-        nonloops, pattern = _class_pattern(part)
-        key = (nprime, pattern)
-        matrix = matrices.get(key)
-        if matrix is None:
-            matrix = matrices[key] = _element_matrix(nprime, pattern)
-        checks.append(
-            CertificateCheck(
-                alpha_q, "quadratic-nsd", True, witness_labels=nonloops, matrix=matrix
             )
-        )
-    checks.sort(key=_canonical_alpha_key)
     return CLCCertificate(accepted=True, nvars=nv, degree=n, checks=tuple(checks), failure=None)
 
 

@@ -225,47 +225,56 @@ class Matroid:
 
     def parallel_partition(self) -> ParallelPartition:
         """Loops and parallel classes from singleton and pair ranks."""
-        return self._partition_after(0)
+        labels, pattern = self._classes_after(0)
+        classes = [[] for _ in range(max(pattern, default=-1) + 1)]
+        for e, c in zip(labels, pattern):
+            classes[c].append(e)
+        loops = frozenset(self.ground).difference(labels)
+        return ParallelPartition(loops, tuple(frozenset(cls) for cls in classes))
 
-    def _partition_after(self, jmask: int) -> ParallelPartition:
-        """Loops and parallel classes of M/J for an independent mask J.
+    def _classes_after(self, jmask: int) -> tuple:
+        """Non-loops of M/J ascending, and the parallel class index of each,
+        for an independent mask J.
 
         An element e outside J is a loop of M/J when J + e is dependent.
-        Otherwise it joins the class of the earlier non-loops r with
-        J + e + r dependent, or opens a class of its own.  Parallelism
-        must be transitive on a real matroid, so e must be parallel to
-        every member of at most one class; the check is kept because
+        Otherwise ``hit`` collects the earlier non-loops r with J + e + r
+        dependent: e opens a new class when ``hit`` is empty and joins
+        the class whose members are exactly ``hit`` otherwise.  Classes
+        are numbered by their smallest member.  Parallelism must be
+        transitive on a real matroid, so any other ``hit`` raises
+        NotAMatroid with a witness triple; the check is kept because
         explicit families can be constructed with validation switched
         off.
         """
         indep = self._is_independent_mask
-        loops = []
-        classes = []
+        members = []
+        class_of = {}
         rest = self._ground_mask & ~jmask
         while rest:
             bit = rest & -rest
             rest ^= bit
             je = jmask | bit
             if not indep(je):
-                loops.append(bit.bit_length())
                 continue
-            home = None
-            for cls in classes:
-                hits = [r for r in cls if not indep(je | r)]
-                if not hits:
-                    continue
-                if len(hits) < len(cls):
-                    miss = next(r for r in cls if r not in hits)
-                    _not_transitive(hits[0], bit, miss)
-                if home is not None:
-                    _not_transitive(bit, home[0], cls[0])
-                home = cls
-            if home is None:
-                classes.append([bit])
+            hit = 0
+            for r in class_of:
+                if not indep(je | r):
+                    hit |= r
+            if hit:
+                low = hit & -hit
+                c = class_of[low]
+                if hit != members[c]:
+                    stray = hit & ~members[c]
+                    if stray:
+                        _not_transitive(bit, low, stray & -stray)
+                    miss = members[c] & ~hit
+                    _not_transitive(low, bit, miss & -miss)
+                members[c] |= bit
             else:
-                home.append(bit)
-        parts = tuple(frozenset(r.bit_length() for r in cls) for cls in classes)
-        return ParallelPartition(frozenset(loops), parts)
+                c = len(members)
+                members.append(bit)
+            class_of[bit] = c
+        return tuple(r.bit_length() for r in class_of), tuple(class_of.values())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n_elements}, ambient={self.ambient})"

@@ -145,6 +145,12 @@ def single_loop():
     return from_independence_family(1, [[]])
 
 
+def sparse_contraction():
+    """K4 with edge 3 contracted: labels 1, 2, 4, 5, 6 of ambient 6, with
+    parallel classes {1, 5}, {2, 6} and {4}."""
+    return k4().contract([3])
+
+
 def zoo():
     """A spread of small matroids across all four constructions."""
     return [

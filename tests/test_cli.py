@@ -1,6 +1,10 @@
 """End-to-end tests of the matroidlc command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -304,6 +308,27 @@ def test_usage_errors_are_json(capsys, args):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
+
+
+def test_repeated_calls_match_fresh_processes(write_json, capsys, monkeypatch):
+    # the parser is built once per process; later calls must not see
+    # anything left behind by earlier ones, a usage error included
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    calls = [
+        ["mason", "--input", "m.json", "--bogus"],
+        ["--help"],
+        ["certify-clc", "--poly", write_json("p.json", SOS_POLY)],
+        SMALL_CORPUS,
+    ]
+    for args in calls:
+        code = cli.main(args)
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "matroidlc.cli", *args],
+            capture_output=True, text=True, env=env,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout)
 
 
 def test_large_prime_modulus_accepted(write_json, capsys):

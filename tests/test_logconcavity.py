@@ -3,6 +3,7 @@ reduction-to-quadratics certifier, and its matroid specialization."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from matroidlc import (
     uniform,
     verify_certificate_failure,
 )
+from matroidlc.logconcavity import _canonical_alpha_key
 
 
 def P(nvars, terms):
@@ -337,6 +339,63 @@ def test_matroid_certificate_rejects_non_transitive_parallelism():
     m = from_independence_family(3, [[], [1], [2], [3], [1, 3]], validate=False)
     with pytest.raises(NotAMatroid):
         certify_clc_matroid(m)
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        # 2 is parallel to 1 and 3: hit {2} is a strict subset of class {1, 2}
+        [[], [1], [2], [3], [1, 3]],
+        # 3 is parallel to 1 and 2: hit {1, 2} spans two classes
+        [[], [1], [2], [3], [1, 2]],
+    ],
+)
+def test_non_transitive_parallelism_names_a_real_witness(sets):
+    m = from_independence_family(3, sets, validate=False)
+    for attempt in (m.parallel_partition, lambda: certify_clc_matroid(m)):
+        with pytest.raises(NotAMatroid) as info:
+            attempt()
+        a, b, c, b2, c2 = (int(x) for x in re.findall(r"\d+", str(info.value)))
+        assert (b2, c2) == (b, c) and len({a, b, c}) == 3
+        assert not m.is_independent([a, b]) and not m.is_independent([a, c])
+        assert all(m.is_independent([e]) for e in (a, b, c))
+        assert m.is_independent([b, c])
+
+
+def _brute_quadratic(m, j):
+    """Expected (witness_labels, matrix rows) of the quadratic check at J,
+    from pair independence alone; None when M/J has loops only."""
+    nprime = m.n_elements - len(j)
+    nonloops = [e for e in m.ground if e not in j and m.is_independent(j | {e})]
+    if not nonloops:
+        return None
+    rows = [
+        [1 - nprime if a == b or not m.is_independent(j | {a, b}) else 1 for b in nonloops]
+        for a in nonloops
+    ]
+    return tuple(nonloops), rows
+
+
+@pytest.mark.parametrize(
+    "m", helpers.zoo() + [helpers.sparse_contraction()], ids=lambda m: repr(m)
+)
+def test_matroid_certificate_checks_in_canonical_order(m):
+    cert = certify_clc_matroid(m)
+    n = m.n_elements
+    assert list(cert.checks) == sorted(cert.checks, key=_canonical_alpha_key)
+    family = [j for j in m.independent_sets() if len(j) <= n - 2]
+    assert len(cert.checks) == sum(n - len(j) for j in family)
+    quadratic = {c.alpha[1:]: c for c in cert.quadratic_checks()}
+    assert len(quadratic) == len(family)
+    for j in family:
+        check = quadratic[tuple(int(i in j) for i in range(1, m.ambient + 1))]
+        assert check.alpha[0] == n - 2 - len(j)
+        expected = _brute_quadratic(m, j)
+        if expected is None:
+            assert check.matrix is None and check.witness_labels is None
+        else:
+            assert check.witness_labels == expected[0]
+            assert rows_int(check.matrix) == expected[1]
 
 
 def test_matroid_certificate_uniform_2_3():

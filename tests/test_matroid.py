@@ -17,6 +17,7 @@ from helpers import (
     parallel_pair_plus_free,
     powerset,
     single_loop,
+    sparse_contraction,
     zoo,
 )
 from matroidlc import (
@@ -239,6 +240,23 @@ def test_partition_rejects_non_transitive_parallelism():
     m = from_independence_family(3, [[], [1], [2], [3], [1, 3]], validate=False)
     with pytest.raises(NotAMatroid):
         m.parallel_partition()
+
+
+@pytest.mark.parametrize("m", zoo() + [sparse_contraction()], ids=lambda m: repr(m))
+def test_class_pass_matches_definition(m):
+    # for every independent J: e is a non-loop of M/J iff J + e is
+    # independent, and non-loops e != r are parallel iff J + e + r is
+    # dependent; classes are numbered by their smallest member
+    for j in m.independent_sets():
+        labels, pattern = m._classes_after(sum(1 << (e - 1) for e in j))
+        nonloops = [e for e in m.ground if e not in j and m.is_independent(j | {e})]
+        assert list(labels) == nonloops
+        for a, class_a in zip(labels, pattern):
+            for b, class_b in zip(labels, pattern):
+                parallel = a != b and not m.is_independent(j | {a, b})
+                assert (class_a == class_b) == (a == b or parallel)
+        firsts = [c for i, c in enumerate(pattern) if c not in pattern[:i]]
+        assert firsts == list(range(len(firsts)))
 
 
 # -- contraction ---------------------------------------------------------------
