@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    validate        axiom check of a matroid file
+    validate        exact axiom check of a matroid file
     rank-sequence   independent-set counts by size
     mason           count sequence forms (i)/(ii)/(iii) plus certificate
     certify-clc     complete-log-concavity certificate for a matroid
@@ -50,7 +50,7 @@ from .logconcavity import (
 from .mason import mason_report
 from .matroid import (
     DEFAULT_ENUMERATION_LIMIT,
-    from_independence_family,
+    _validate_family,
     matroid_from_json,
 )
 from .polynomial import (
@@ -105,13 +105,21 @@ def _emit(config: RunConfig, payload: dict, summary: str) -> None:
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+            _write_line(fh, text)
     else:
-        sys.stdout.write(text)
-        sys.stdout.write("\n")
+        _write_line(sys.stdout, text)
         sys.stdout.flush()
     print(summary, file=sys.stderr)
+
+
+def _write_line(fh, text: str) -> None:
+    """Write text and a newline in 1 MiB slices: a text stream encodes
+    each write whole, so one write would hold a second copy of the text
+    (30 MB for the U(8,16) certificate) at the peak."""
+    step = 1 << 20
+    for start in range(0, len(text), step):
+        fh.write(text[start : start + step])
+    fh.write("\n")
 
 
 def _emit_error(config: RunConfig, exc: Exception) -> int:
@@ -140,11 +148,14 @@ def _load_json(path: str) -> dict:
 def _load_matroid(config: RunConfig):
     if not config.input_path:
         raise _InputError("UsageError", "this command requires --input MATROID_JSON")
-    obj = _load_json(config.input_path)
+    return _parse_matroid(_load_json(config.input_path))
+
+
+def _parse_matroid(obj: dict):
+    """Package errors, such as an AxiomViolation of an explicit family,
+    propagate unchanged; run() reports each by its type name."""
     try:
         return matroid_from_json(obj)
-    except MatroidLCError as exc:
-        raise _InputError(type(exc).__name__, str(exc)) from exc
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise _InputError("SchemaError", f"bad matroid object: {exc}") from exc
 
@@ -201,50 +212,38 @@ def _cmd_validate(config: RunConfig) -> int:
     if not config.input_path:
         raise _InputError("UsageError", "validate requires --input MATROID_JSON")
     obj = _load_json(config.input_path)
-    kind = obj.get("kind")
-    if kind == "explicit":
-        try:
-            sets = [[int(e) for e in s] for s in obj["sets"]]
-            n = int(obj["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _InputError("SchemaError", f"bad explicit matroid: {exc}") from exc
-        try:
-            m = from_independence_family(n, sets, validate=True)
-        except (AxiomViolation, EmptyFamily) as exc:
-            violation = {"message": str(exc)}
-            if isinstance(exc, AxiomViolation):
-                if not _reverify_axiom_witness(obj, exc.axiom, exc.witness):
-                    raise _InputError(
-                        "ConsistencyError", "axiom witness failed re-verification"
-                    )
-                violation.update(
-                    axiom=exc.axiom,
-                    witness={
-                        "smaller": sorted(exc.witness[0]),
-                        "larger": sorted(exc.witness[1]),
-                    },
-                    reverified=True,
+    try:
+        m = _parse_matroid(obj)
+    except (AxiomViolation, EmptyFamily) as exc:
+        violation = {"message": str(exc)}
+        if isinstance(exc, AxiomViolation):
+            if not _reverify_axiom_witness(obj, exc.axiom, exc.witness):
+                raise _InputError(
+                    "ConsistencyError", "axiom witness failed re-verification"
                 )
-            else:
-                violation["axiom"] = "nonempty"
-            _emit(
-                config,
-                {"valid": False, "kind": kind, "violation": violation},
-                f"validate: INVALID ({violation.get('axiom')})",
+            violation.update(
+                axiom=exc.axiom,
+                witness={
+                    "smaller": sorted(exc.witness[0]),
+                    "larger": sorted(exc.witness[1]),
+                },
+                reverified=True,
             )
-            return 1
-    else:
-        m = _load_matroid(config)
-        if m.n_elements <= config.enumeration_bound:
-            family = m.independent_sets(config.enumeration_bound)
-            labels = sorted(m.ground)
-            remap = {lab: i + 1 for i, lab in enumerate(labels)}
-            from_independence_family(
-                len(labels), [{remap[e] for e in s} for s in family], validate=True
-            )
+        else:
+            violation["axiom"] = "nonempty"
+        _emit(
+            config,
+            {"valid": False, "kind": "explicit", "violation": violation},
+            f"validate: INVALID ({violation['axiom']})",
+        )
+        return 1
+    if m.kind != "explicit" and m.n_elements <= config.enumeration_bound:
+        # A loaded uniform, graphic or linear matroid has ground 1..n, so
+        # its masks are already those of an explicit family on 1..n.
+        _validate_family(m.independent_set_masks(config.enumeration_bound))
     _emit(
         config,
-        {"valid": True, "kind": m.to_json()["kind"], "n": m.n_elements, "rank": m.rank},
+        {"valid": True, "kind": m.kind, "n": m.n_elements, "rank": m.rank},
         f"validate: OK (n={m.n_elements}, rank={m.rank})",
     )
     return 0

@@ -1,13 +1,19 @@
 """End-to-end tests of the matroidlc command line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from helpers import brute_axiom_failure, powerset
 from matroidlc import cli
 
 U23 = {"kind": "uniform", "r": 2, "n": 3}
@@ -71,6 +77,91 @@ def test_validate_large_structured_matroid_skips_enumeration(write_json, capsys)
     code, payload, _ = invoke(capsys, ["validate", "--input", write_json("m.json", big)])
     assert code == 0
     assert payload["valid"] is True
+
+
+# U(3,17) without the bases {1,2,3} and {1,2,4}: neither 3 nor 4 extends
+# {1,2} although {1,3,4} is independent.
+NOT_A_MATROID_17 = {
+    "kind": "explicit",
+    "n": 17,
+    "sets": [
+        list(c)
+        for k in range(4)
+        for c in combinations(range(1, 18), k)
+        if c not in ((1, 2, 3), (1, 2, 4))
+    ],
+}
+
+
+def test_validate_is_exact_beyond_sixteen_elements(write_json, capsys):
+    path = write_json("m.json", NOT_A_MATROID_17)
+    code, payload, _ = invoke(capsys, ["validate", "--input", path])
+    assert code == 1
+    violation = payload["violation"]
+    assert (violation["axiom"], violation["reverified"]) == ("exchange", True)
+    family = {frozenset(s) for s in NOT_A_MATROID_17["sets"]}
+    smaller = frozenset(violation["witness"]["smaller"])
+    larger = frozenset(violation["witness"]["larger"])
+    assert smaller in family and larger in family
+    assert len(larger) == len(smaller) + 1
+    assert all(smaller | {x} not in family for x in larger - smaller)
+    code, payload, _ = invoke(capsys, ["mason", "--input", path])
+    assert code == 2
+    assert payload["error"]["type"] == "AxiomViolation"
+
+
+@pytest.mark.parametrize("label", [1.7, "1"])
+def test_validate_parses_labels_like_other_commands(write_json, capsys, label):
+    path = write_json("m.json", {"kind": "explicit", "n": 2, "sets": [[], [label], [2]]})
+    results = []
+    for command in ("validate", "rank-sequence"):
+        code, payload, _ = invoke(capsys, [command, "--input", path])
+        results.append((code, payload["error"]["type"]))
+    assert results == [(2, "ElementOutOfRange")] * 2
+
+
+def _labels(n):
+    return st.one_of(
+        st.integers(min_value=1, max_value=max(n, 1)),
+        st.integers(min_value=-2, max_value=n + 2),
+        st.floats(),
+        st.text(max_size=2),
+    )
+
+
+@st.composite
+def explicit_inputs(draw):
+    n = draw(st.integers(min_value=0, max_value=20))
+    sets = draw(st.lists(st.lists(_labels(n), max_size=4), max_size=8))
+    if draw(st.booleans()):
+        sets = [list(sub) for s in sets for sub in powerset(s)]
+    return {"kind": "explicit", "n": n, "sets": sets}
+
+
+@given(explicit_inputs())
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_validate_fuzz_ends_in_one_json_object(tmp_path, obj):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["validate", "--input", str(path)])
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert isinstance(payload, dict)
+    assert "Traceback" not in err.getvalue()
+    labels = [e for s in obj["sets"] for e in s]
+    if all(type(e) is int and 1 <= e <= obj["n"] for e in labels):
+        verdict = brute_axiom_failure(obj["sets"])
+        assert code == (0 if verdict is None else 1)
+    else:
+        assert code == 2
+        assert payload["error"]["type"] == "ElementOutOfRange"
 
 
 # -- rank-sequence ---------------------------------------------------------------

@@ -373,3 +373,8 @@ def test_validation_agrees_with_bruteforce(case):
         with pytest.raises(AxiomViolation) as exc:
             from_independence_family(n, family, validate=True)
         assert exc.value.axiom == verdict
+        if verdict == "exchange":
+            smaller, larger = exc.value.witness
+            assert smaller in family and larger in family
+            assert len(larger) == len(smaller) + 1
+            assert all(smaller | {x} not in family for x in larger - smaller)
