@@ -19,7 +19,8 @@ Exit codes: 0 every verdict positive, 1 a verdict failed (the JSON
 carries a re-verified witness), 2 usage or input error (the JSON is a
 machine-readable error object).  The enumeration bound is capped at 24
 elements; the default of 20 can be overridden per run with
---enumeration-bound or the MATROIDLC_ENUMERATION_BOUND variable.  A
+--enumeration-bound or the MATROIDLC_ENUMERATION_BOUND variable, and
+an explicit matroid whose n exceeds it is refused by every command.  A
 --poly input has at most MAX_POLY_NVARS = 25 variables.
 """
 
@@ -39,6 +40,7 @@ from .errors import (
     AxiomViolation,
     DimensionMismatch,
     EmptyFamily,
+    EnumerationLimitExceeded,
     MatroidLCError,
 )
 from .logconcavity import (
@@ -148,13 +150,19 @@ def _load_json(path: str) -> dict:
 def _load_matroid(config: RunConfig):
     if not config.input_path:
         raise _InputError("UsageError", "this command requires --input MATROID_JSON")
-    return _parse_matroid(_load_json(config.input_path))
+    return _parse_matroid(_load_json(config.input_path), config.enumeration_bound)
 
 
-def _parse_matroid(obj: dict):
+def _parse_matroid(obj: dict, bound: int):
     """Package errors, such as an AxiomViolation of an explicit family,
-    propagate unchanged; run() reports each by its type name."""
+    propagate unchanged; run() reports each by its type name.  An explicit
+    family is held in full, so its n must meet the bound before it is built."""
     try:
+        n = int(obj["n"]) if obj.get("kind") == "explicit" else 0
+        if n > bound:
+            raise EnumerationLimitExceeded(
+                f"ground set of size {n} exceeds enumeration bound {bound}"
+            )
         return matroid_from_json(obj)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise _InputError("SchemaError", f"bad matroid object: {exc}") from exc
@@ -213,7 +221,7 @@ def _cmd_validate(config: RunConfig) -> int:
         raise _InputError("UsageError", "validate requires --input MATROID_JSON")
     obj = _load_json(config.input_path)
     try:
-        m = _parse_matroid(obj)
+        m = _parse_matroid(obj, config.enumeration_bound)
     except (AxiomViolation, EmptyFamily) as exc:
         violation = {"message": str(exc)}
         if isinstance(exc, AxiomViolation):

@@ -16,12 +16,14 @@ in direction a).
 
 f is completely log-concave when every repeated partial derivative is
 log-concave over the nonnegative orthant.  The certifier used here
-reduces that infinite family of conditions to finitely many checks: it
-suffices that every nonzero derivative d^alpha f with |alpha| <= d - 2
-is indecomposable (its active variables are not split into two groups
-with no mixed partial across) and that every quadratic derivative
-(|alpha| = d - 2) is log-concave.  Quadratics have constant Hessians, so
-their verdict is point free and is tested at the all-ones point.
+reduces that infinite family of conditions to finitely many checks: f is
+completely log-concave exactly when every nonzero derivative d^alpha f
+with |alpha| <= d - 2 is indecomposable (its active variables are not
+split into two groups with no mixed partial across) and every quadratic
+derivative (|alpha| = d - 2) is log-concave.  Quadratics have constant
+Hessians, so their verdict is point free and is tested at the all-ones
+point.  No coefficient can cancel, so every check is read off the terms
+of f, with no derivative polynomials.
 
 For the independence generating polynomial g_M of a matroid the checks
 collapse further.  Nonzero derivatives correspond to contractions M/J by
@@ -40,18 +42,18 @@ c parallel classes, that matrix factors as
 
 and the c x c core has eigenvalues c - n' (once) and -n', so the
 quadratic is log-concave exactly when c <= n'.  That always holds: each
-class holds at least one non-loop, and M/J has n' elements.
-certify_clc_matroid decides each (n', c) core by the exact NSD test.
+class holds at least one non-loop, and M/J has n' elements.  So
+certify_clc_matroid passes every quadratic check by this closed form,
+with no NSD test at run time.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
-
-from mpmath import mp, mpf
 
 from .errors import (
     AllLoops,
@@ -93,11 +95,22 @@ def log_hessian_numerator(f: SparsePolynomial, a: Sequence) -> SymmetricMatrix:
     share definiteness whenever f(a) != 0.
     """
     a = _rational_point(f, a, require_nonneg=False)
-    return _pair_matrix(f, a, f.evaluate(a))
+    return _pair_matrix(f, a)[1]
 
 
-def _pair_matrix(f: SparsePolynomial, a: tuple, fa: Fraction) -> SymmetricMatrix:
-    return f.hessian(a).scaled(fa) - SymmetricMatrix.outer(f.gradient(a))
+def _rank_one_update(q_rows: Sequence, s, v: Sequence) -> SymmetricMatrix:
+    """s Q - v v^T for the rows of a symmetric Q."""
+    return SymmetricMatrix([[s * q - x * y for q, y in zip(row, v)] for row, x in zip(q_rows, v)])
+
+
+def _pair_matrix(f: SparsePolynomial, a: tuple) -> tuple:
+    """f(a) and f(a) Hess f(a) - grad f(a) grad f(a)^T, from one pass
+    over the terms."""
+    values = f._values_at(a, 2)
+    n = f.nvars
+    hess = [[values.get((min(i, j), max(i, j)), 0) for j in range(n)] for i in range(n)]
+    fa = Fraction(values.get((), 0))
+    return fa, _rank_one_update(hess, fa, [values.get((i,), 0) for i in range(n)])
 
 
 def log_concavity_test_matrix(f: SparsePolynomial, a: Sequence) -> SymmetricMatrix:
@@ -105,8 +118,7 @@ def log_concavity_test_matrix(f: SparsePolynomial, a: Sequence) -> SymmetricMatr
     a = _rational_point(f, a, require_nonneg=False)
     q = f.hessian(a)
     qa = q.matvec(a)
-    aqa = sum((x * y for x, y in zip(a, qa)), Fraction(0))
-    return q.scaled(aqa) - SymmetricMatrix.outer(qa)
+    return _rank_one_update(q.rows(), sum(x * y for x, y in zip(a, qa)), qa)
 
 
 def log_concave_at(f: SparsePolynomial, a: Sequence) -> bool:
@@ -149,29 +161,30 @@ def is_indecomposable(f: SparsePolynomial) -> IndecomposabilityResult:
 
     d2 f / dx_i dx_j is nonzero exactly when some term contains both
     variables (monomial derivatives cannot cancel), so each term's
-    support is a clique and chain-linking it suffices.  Polynomials with
-    at most one active variable count as indecomposable.
+    support is a clique.  Polynomials with at most one active variable
+    count as indecomposable.
     """
-    active = sorted(f.active_variables())
-    if len(active) <= 1:
-        return IndecomposabilityResult(True, None)
-    parent = list(range(f.nvars))
-    for exp in f.terms:
-        prev = None
-        for i, e in enumerate(exp):
-            if e:
-                if prev is not None:
-                    parent[_find(parent, prev)] = _find(parent, i)
-                prev = i
-    roots = {}
-    for i in active:
-        roots.setdefault(_find(parent, i), []).append(i)
-    if len(roots) == 1:
-        return IndecomposabilityResult(True, None)
-    components = sorted(roots.values(), key=lambda c: c[0])
-    first = frozenset(components[0])
-    rest = frozenset(v for comp in components[1:] for v in comp)
-    return IndecomposabilityResult(False, (first, rest))
+    partition = _split(f.terms, f.nvars)
+    return IndecomposabilityResult(partition is None, partition)
+
+
+def _split(exps, nvars: int) -> Optional[tuple]:
+    """None when the supports of the exponent vectors connect their
+    variables, else the component of the smallest one and the rest."""
+    parent = list(range(nvars))
+    active = set()
+    for exp in exps:
+        support = [i for i, e in enumerate(exp) if e]
+        active.update(support)
+        for i in support[1:]:
+            parent[_find(parent, i)] = _find(parent, support[0])
+    components = {}
+    for i in sorted(active):
+        components.setdefault(_find(parent, i), []).append(i)
+    if len(components) <= 1:
+        return None
+    first = frozenset(next(iter(components.values())))
+    return first, frozenset(active) - first
 
 
 # -- condition report ------------------------------------------------------
@@ -286,21 +299,19 @@ def log_concavity_condition_report(
     d = f.total_degree()
     if d < 2:
         raise DegreeTooLow(f"conditions need degree >= 2, got {d}")
-    fa = f.evaluate(a)
+    fa, pair = _pair_matrix(f, a)
     if fa == 0:
         raise ZeroAtPoint("conditions are defined only where f(a) != 0")
     q = f.hessian(a)
-    grad = f.gradient(a)
     qa = q.matvec(a)
     if all(x == 0 for x in qa):
         raise ConsistencyError("Qa vanished although f(a) > 0 and degree >= 2")
-    aqa = sum((x * y for x, y in zip(a, qa)), Fraction(0))
 
-    cond1 = bool(is_negative_semidefinite(q.scaled(fa) - SymmetricMatrix.outer(grad)))
+    cond1 = bool(is_negative_semidefinite(pair))
     basis = _orthogonal_complement_basis(qa)
     cond2 = bool(is_negative_semidefinite(_restrict_form(q, basis)))
     cond4 = cond2
-    cond5_matrix = q.scaled(aqa) - SymmetricMatrix.outer(qa)
+    cond5_matrix = log_concavity_test_matrix(f, a)
     cond5 = bool(is_negative_semidefinite(cond5_matrix))
 
     rng = random.Random(seed)
@@ -385,9 +396,14 @@ class CLCCertificate:
 
     ``accepted`` means every derivative check passed, which proves
     complete log-concavity.  A rejection pinpoints the first failing
-    check in canonical order together with a machine-checkable witness.
-    The criterion is sufficient, not complete: a rejection of a general
-    polynomial is a failed certificate, not a disproof.
+    check in canonical order together with a machine-checkable witness,
+    and disproves complete log-concavity: the criterion is an exact
+    decision.  A failed quadratic is a derivative whose test matrix at
+    the all-ones point is not NSD, so it is not log-concave at 1.  A
+    nonzero d^alpha f of degree k >= 2 that splits into variable blocks
+    B1 and B2 has a block-diagonal Hessian Q at 1, and each block has
+    1_B^T Q 1_B = k (k - 1) f_B(1) > 0 for its part f_B.  So Q has two
+    positive eigenvalues, and d^alpha f is not log-concave at 1.
     """
 
     accepted: bool
@@ -417,27 +433,45 @@ class CLCCertificate:
         return out
 
 
-def _canonical_alpha_key(check: CertificateCheck):
-    return (sum(check.alpha), check.alpha, check.kind)
-
-
-def _quadratic_log_concave(q: SparsePolynomial):
-    """Point-free log-concavity of a nonzero quadratic with nonnegative
-    coefficients; the constant Hessian is tested at the all-ones point."""
-    a = (Fraction(1),) * q.nvars
-    matrix = log_concavity_test_matrix(q, a)
+def _quadratic_check(alpha: tuple, terms: list, nv: int) -> CertificateCheck:
+    """The check of the quadratic d^alpha f at the all-ones point: its
+    Hessian is Q_ij = c_beta beta! for beta = alpha + e_i + e_j."""
+    q = [[0] * nv for _ in range(nv)]
+    for beta, c in terms:
+        # beta - alpha = e_i + e_j with i <= j
+        i, j = (k for k, (b, a) in enumerate(zip(beta, alpha)) for _ in range(b - a))
+        q[i][j] = q[j][i] = c * math.prod(map(math.factorial, beta))
+    q1 = [sum(row) for row in q]
+    matrix = _rank_one_update(q, sum(q1), q1)
     res = is_negative_semidefinite(matrix)
-    return res, matrix
+    return CertificateCheck(
+        alpha, "quadratic-nsd", res.is_nsd, witness_vector=res.witness, matrix=matrix
+    )
+
+
+def _next_level(level: dict, nv: int) -> dict:
+    """The nonzero derivatives one order up: alpha + e_i, with its terms
+    beta >= alpha + e_i, whenever some term of alpha has beta_i > alpha_i."""
+    nxt = {}
+    for alpha, terms in level.items():
+        for i, a in enumerate(alpha):
+            up = alpha[:i] + (a + 1,) + alpha[i + 1 :]
+            if up not in nxt:
+                kept = [t for t in terms if t[0][i] > a]
+                if kept:
+                    nxt[up] = kept
+    return nxt
 
 
 def certify_clc_quadratic_criterion(f: SparsePolynomial) -> CLCCertificate:
     """Certify complete log-concavity of a general homogeneous f.
 
-    Walks every nonzero derivative level by level: indecomposability for
-    each |alpha| <= d - 2, then exact log-concavity of each quadratic at
-    |alpha| = d - 2.  Stops at the first failure and reports it with a
-    witness.  Checks appear in canonical order (total degree of alpha,
-    then lexicographic).
+    Walks every nonzero derivative level by level, reading each check
+    off the terms of f: indecomposability for each |alpha| <= d - 2,
+    then exact log-concavity of each quadratic at |alpha| = d - 2.
+    Stops at the first failure and reports it with a witness.  Checks
+    appear in canonical order (total degree of alpha, then
+    lexicographic, the indecomposable check first).
     """
     if f.is_zero():
         raise DegreeTooLow("zero polynomial has no quadratic derivatives")
@@ -450,52 +484,22 @@ def certify_clc_quadratic_criterion(f: SparsePolynomial) -> CLCCertificate:
         raise DegreeTooLow(f"certificate needs degree >= 2, got {d}")
     nv = f.nvars
     checks = []
-    failure = None
-    level = {(0,) * nv: f}
+    level = {(0,) * nv: list(f.terms.items())}
     for ell in range(d - 1):
-        last = ell == d - 2
+        if ell:
+            level = _next_level(level, nv)
         for alpha in sorted(level):
-            fa = level[alpha]
-            ind = is_indecomposable(fa)
+            # the terms of f with beta >= alpha give d^alpha f its support
+            terms = level[alpha]
+            split = _split([tuple(b - a for b, a in zip(beta, alpha)) for beta, _ in terms], nv)
             checks.append(
-                CertificateCheck(alpha, "indecomposable", bool(ind), witness_partition=ind.partition)
+                CertificateCheck(alpha, "indecomposable", split is None, witness_partition=split)
             )
-            if not ind:
-                failure = checks[-1]
-                break
-            if last:
-                res, matrix = _quadratic_log_concave(fa)
-                checks.append(
-                    CertificateCheck(
-                        alpha,
-                        "quadratic-nsd",
-                        bool(res),
-                        witness_vector=res.witness,
-                        matrix=matrix,
-                    )
-                )
-                if not res:
-                    failure = checks[-1]
-                    break
-        if failure is not None or last:
-            break
-        nxt = {}
-        for alpha, fa in level.items():
-            for i in range(nv):
-                g = fa.partial_derivative(i)
-                if not g.is_zero():
-                    bumped = list(alpha)
-                    bumped[i] += 1
-                    nxt.setdefault(tuple(bumped), g)
-        level = nxt
-    checks.sort(key=_canonical_alpha_key)
-    return CLCCertificate(
-        accepted=failure is None,
-        nvars=nv,
-        degree=d,
-        checks=tuple(checks),
-        failure=failure,
-    )
+            if split is None and ell == d - 2:
+                checks.append(_quadratic_check(alpha, terms, nv))
+            if not checks[-1].result:
+                return CLCCertificate(False, nv, d, tuple(checks), checks[-1])
+    return CLCCertificate(True, nv, d, tuple(checks), None)
 
 
 # -- matroid specialization --------------------------------------------------
@@ -505,8 +509,7 @@ def _element_matrix(nprime: int, pattern) -> SymmetricMatrix:
     """P (J_c - n' I_c) P^T for the class index ``pattern`` of the rows.
 
     Entries are 1 between distinct classes and 1 - n' inside a class and
-    on the diagonal.  With singleton classes this is the c x c core
-    J_c - n' I_c itself.
+    on the diagonal.
     """
     inside, across = 1 - nprime, 1
     return SymmetricMatrix([[inside if a == b else across for b in pattern] for a in pattern])
@@ -539,17 +542,14 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
     the parallel-class matrix of M/J; when M/J consists of loops only
     the quadratic is a positive multiple of y^2 and passes outright.
 
-    The parallel-class matrix factors as P (J_c - n' I_c) P^T, with P
-    the element-by-class incidence matrix of the c parallel classes of
-    M/J.  Its verdict is therefore that of the c x c core, which is NSD
-    exactly when c <= n'; and c <= n' always holds, since every class
-    holds at least one of the n' elements.  Each (n', c) core is decided
-    once by the exact NSD test, and a core that fails raises
-    ConsistencyError.  The checks are built in canonical order from the
-    enumerated family bucketed by |J|, with no sort over the checks.
-    One class pass per J reads the parallel classes of M/J off the
-    independence masks, and element matrices are shared between
-    contractions with the same n' and class pattern.
+    The parallel-class matrix of M/J factors as P (J_c - n' I_c) P^T,
+    and the c x c core has eigenvalues c - n' (once) and -n'.  It is NSD
+    because c <= n' always holds (see the module docstring), so every
+    quadratic check passes by this closed form.  The checks are built in
+    canonical order from the enumerated family bucketed by |J|, with no
+    sort over the checks.  One class pass per J reads the parallel
+    classes of M/J off the independence masks, and element matrices are
+    shared between contractions with the same n' and class pattern.
 
     Ground sets with fewer than 2 elements are accepted with an empty
     check list: the polynomial has degree below 2 and all its
@@ -577,7 +577,6 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
                 CertificateCheck((k,) + zpart, "indecomposable", True)
                 for zpart, _ in buckets[t - k]
             )
-    cores = set()
     matrices = {}
     for k in range(n - 1):
         nprime = k + 2
@@ -588,13 +587,6 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
             if not nonloops:
                 checks.append(CertificateCheck(alpha, "quadratic-nsd", True))
                 continue
-            c = max(pattern) + 1
-            if (nprime, c) not in cores:
-                if not is_negative_semidefinite(_element_matrix(nprime, range(c))):
-                    raise ConsistencyError(
-                        f"class core J_c - n'I_c is not NSD for n' = {nprime}, c = {c}"
-                    )
-                cores.add((nprime, c))
             key = (nprime, pattern)
             matrix = matrices.get(key)
             if matrix is None:
@@ -682,10 +674,9 @@ def spectral_nd_report(f: SparsePolynomial, a: Optional[Sequence] = None) -> Spe
     if a is None:
         a = (Fraction(1),) * f.nvars
     a = _rational_point(f, a)
-    fa = f.evaluate(a)
+    fa, numerator = _pair_matrix(f, a)
     if fa <= 0:
         raise ZeroAtPoint("spectral report requires f(a) > 0")
-    numerator = _pair_matrix(f, a, fa)
     scaled = numerator.scaled(Fraction(1, 1) / (fa * fa))
     return SpectralReport(
         point=a,
@@ -704,7 +695,7 @@ class FunctionalSampleReport:
 
     Each trial draws nonnegative rational u, v and lambda in (0, 1) and
     checks f(lambda u + (1-lambda) v) >= f(u)^lambda f(v)^(1-lambda)
-    with exact evaluation and high precision logarithms.  ``margin`` is
+    with exact evaluation and double precision logarithms.  ``margin`` is
     log lhs - log rhs, required to be >= -rel_tol.
     """
 
@@ -726,8 +717,8 @@ class FunctionalSampleReport:
         }
 
 
-def _log_fraction(x: Fraction):
-    return mp.log(mpf(x.numerator)) - mp.log(mpf(x.denominator))
+def _log_fraction(x: Fraction) -> float:
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def sample_functional_log_concavity(
@@ -743,27 +734,24 @@ def sample_functional_log_concavity(
     rng = random.Random(seed)
     failures = []
     worst = None
-    with mp.workdps(50):
-        for t in range(trials):
-            u = tuple(Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(f.nvars))
-            v = tuple(Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(f.nvars))
-            lam = Fraction(rng.randint(1, 15), 16)
-            mid = tuple(lam * a + (1 - lam) * b for a, b in zip(u, v))
-            fu, fv, fm = f.evaluate(u), f.evaluate(v), f.evaluate(mid)
-            if fu == 0 or fv == 0:
-                # right side is zero, inequality is automatic for
-                # nonnegative coefficients
-                continue
-            if fm == 0:
-                failures.append(t)
-                continue
-            margin = float(
-                _log_fraction(fm) - lam * _log_fraction(fu) - (1 - lam) * _log_fraction(fv)
-            )
-            if worst is None or margin < worst:
-                worst = margin
-            if margin < -rel_tol:
-                failures.append(t)
+    for t in range(trials):
+        u = tuple(Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(f.nvars))
+        v = tuple(Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(f.nvars))
+        lam = Fraction(rng.randint(1, 15), 16)
+        mid = tuple(lam * a + (1 - lam) * b for a, b in zip(u, v))
+        fu, fv, fm = f.evaluate(u), f.evaluate(v), f.evaluate(mid)
+        if fu == 0 or fv == 0:
+            # right side is zero, inequality is automatic for
+            # nonnegative coefficients
+            continue
+        if fm == 0:
+            failures.append(t)
+            continue
+        margin = _log_fraction(fm) - lam * _log_fraction(fu) - (1 - lam) * _log_fraction(fv)
+        if worst is None or margin < worst:
+            worst = margin
+        if margin < -rel_tol:
+            failures.append(t)
     return FunctionalSampleReport(
         trials=trials,
         holds=not failures,

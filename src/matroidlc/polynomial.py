@@ -247,7 +247,8 @@ class SparsePolynomial:
 
     def _values_at(self, point: Sequence, order: int) -> dict:
         """{alpha: d^alpha f(point)} for the sorted index tuples alpha of
-        length ``order`` (at most 2), from one pass over the terms.
+        every length up to ``order`` (at most 2), from one pass over the
+        terms: () holds f, (i,) the gradient, (i, j) the Hessian.
 
         jet[i][k][e] = e!/(e-k)! * x_i^(e-k) is the k-th derivative of
         x_i^e (zero when k > e); integral coordinates are multiplied as
@@ -268,11 +269,12 @@ class SparsePolynomial:
         out = {}
         for exp, c in self._terms.items():
             idx = [i for i, e in enumerate(exp) if e]
-            for alpha in combinations_with_replacement(idx, order):
-                v = c
-                for i in idx:
-                    v = v * jet[i][alpha.count(i)][exp[i]]
-                out[alpha] = out.get(alpha, 0) + v
+            for k in range(order + 1):
+                for alpha in combinations_with_replacement(idx, k):
+                    v = c
+                    for i in idx:
+                        v = v * jet[i][alpha.count(i)][exp[i]]
+                    out[alpha] = out.get(alpha, 0) + v
         return out
 
     def evaluate(self, point: Sequence):

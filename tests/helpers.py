@@ -3,14 +3,30 @@
 Everything here is deliberately independent of the library internals:
 independence is re-derived from first principles (cycle search, Gaussian
 elimination, size bounds), axioms are checked over all pairs without the
-size-adjacent reduction, and ranks come from exhaustive enumeration.
+size-adjacent reduction, and ranks come from exhaustive enumeration.  The
+reference certifier walks the derivative polynomials themselves, where
+the library reads every check off the coefficients.
 """
 
 import random
 from fractions import Fraction
 from itertools import chain, combinations
 
-from matroidlc import SparsePolynomial, from_independence_family, graphic, linear, uniform
+from matroidlc import (
+    CertificateCheck,
+    CLCCertificate,
+    DegreeTooLow,
+    NegativeCoefficient,
+    NotHomogeneous,
+    SparsePolynomial,
+    from_independence_family,
+    graphic,
+    is_indecomposable,
+    is_negative_semidefinite,
+    linear,
+    log_concavity_test_matrix,
+    uniform,
+)
 
 
 def powerset(items):
@@ -187,3 +203,87 @@ def random_homogeneous_polynomial(rng: random.Random, nvars, degree, max_terms=8
 
 def random_positive_point(rng: random.Random, nvars):
     return tuple(Fraction(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(nvars))
+
+
+# -- reference certifier (derivative polynomials, level by level) -------------
+
+
+def _canonical_alpha_key(check: CertificateCheck):
+    return (sum(check.alpha), check.alpha, check.kind)
+
+
+def _quadratic_log_concave(q: SparsePolynomial):
+    """Point-free log-concavity of a nonzero quadratic with nonnegative
+    coefficients; the constant Hessian is tested at the all-ones point."""
+    a = (Fraction(1),) * q.nvars
+    matrix = log_concavity_test_matrix(q, a)
+    res = is_negative_semidefinite(matrix)
+    return res, matrix
+
+
+def reference_certificate(f: SparsePolynomial) -> CLCCertificate:
+    """Certify complete log-concavity of a general homogeneous f.
+
+    Walks every nonzero derivative level by level: indecomposability for
+    each |alpha| <= d - 2, then exact log-concavity of each quadratic at
+    |alpha| = d - 2.  Stops at the first failure and reports it with a
+    witness.  Checks appear in canonical order (total degree of alpha,
+    then lexicographic).
+    """
+    if f.is_zero():
+        raise DegreeTooLow("zero polynomial has no quadratic derivatives")
+    if not f.has_nonnegative_coefficients():
+        raise NegativeCoefficient("certificate requires nonnegative coefficients")
+    if not f.is_homogeneous():
+        raise NotHomogeneous("certificate requires a homogeneous polynomial")
+    d = f.total_degree()
+    if d < 2:
+        raise DegreeTooLow(f"certificate needs degree >= 2, got {d}")
+    nv = f.nvars
+    checks = []
+    failure = None
+    level = {(0,) * nv: f}
+    for ell in range(d - 1):
+        last = ell == d - 2
+        for alpha in sorted(level):
+            fa = level[alpha]
+            ind = is_indecomposable(fa)
+            checks.append(
+                CertificateCheck(alpha, "indecomposable", bool(ind), witness_partition=ind.partition)
+            )
+            if not ind:
+                failure = checks[-1]
+                break
+            if last:
+                res, matrix = _quadratic_log_concave(fa)
+                checks.append(
+                    CertificateCheck(
+                        alpha,
+                        "quadratic-nsd",
+                        bool(res),
+                        witness_vector=res.witness,
+                        matrix=matrix,
+                    )
+                )
+                if not res:
+                    failure = checks[-1]
+                    break
+        if failure is not None or last:
+            break
+        nxt = {}
+        for alpha, fa in level.items():
+            for i in range(nv):
+                g = fa.partial_derivative(i)
+                if not g.is_zero():
+                    bumped = list(alpha)
+                    bumped[i] += 1
+                    nxt.setdefault(tuple(bumped), g)
+        level = nxt
+    checks.sort(key=_canonical_alpha_key)
+    return CLCCertificate(
+        accepted=failure is None,
+        nvars=nv,
+        degree=d,
+        checks=tuple(checks),
+        failure=failure,
+    )

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -330,6 +331,44 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     code, payload, _ = invoke(capsys, ["validate", "--input", str(path)])
     assert code == 2
     assert payload["error"]["type"] == "JSONError"
+
+
+MATROID_COMMANDS = ("validate", "rank-sequence", "mason", "certify-clc", "spectral")
+
+
+def explicit_ground(n):
+    return {"kind": "explicit", "n": n, "sets": [[], [1]]}
+
+
+@pytest.mark.parametrize("command", MATROID_COMMANDS)
+@pytest.mark.parametrize("n", [cli.DEFAULT_ENUMERATION_LIMIT + 1, 200_000])
+def test_explicit_ground_above_bound_is_refused_quickly(write_json, capsys, command, n):
+    # the family of an explicit matroid is held in full, so its ground
+    # size must meet the bound before any work is done
+    path = write_json("m.json", explicit_ground(n))
+    start = time.perf_counter()
+    code = cli.main([command, "--input", path])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == "EnumerationLimitExceeded"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", MATROID_COMMANDS)
+@pytest.mark.parametrize("bound", [cli.DEFAULT_ENUMERATION_LIMIT, cli.MAX_ENUMERATION_BOUND])
+def test_explicit_ground_at_bound_is_accepted(write_json, capsys, command, bound):
+    flag = ["--enumeration-bound", str(bound)]
+    path = write_json("m.json", explicit_ground(bound))
+    code, payload, _ = invoke(capsys, [command, "--input", path] + flag)
+    assert code == 0
+    assert "error" not in payload
+
+    path = write_json("m.json", explicit_ground(bound + 1))
+    code, payload, _ = invoke(capsys, [command, "--input", path] + flag)
+    assert code == 2
+    assert payload["error"]["type"] == "EnumerationLimitExceeded"
 
 
 def test_enumeration_bound_flag_and_env(write_json, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import _canonical_alpha_key
 from matroidlc import (
     AllLoops,
     DegreeTooLow,
@@ -37,7 +38,7 @@ from matroidlc import (
     uniform,
     verify_certificate_failure,
 )
-from matroidlc.logconcavity import _canonical_alpha_key
+from matroidlc.cli import MAX_ENUMERATION_BOUND
 
 
 def P(nvars, terms):
@@ -243,6 +244,69 @@ def test_certificate_json_shape():
     assert "checks" not in cert.to_json(include_checks=False)
 
 
+def _assert_matches_reference(f):
+    """The coefficient route agrees with the derivative-polynomial walk
+    check by check, matrices and witnesses included, in canonical order."""
+    cert = certify_clc_quadratic_criterion(f)
+    reference = helpers.reference_certificate(f)
+    assert cert.to_json() == reference.to_json()
+    assert cert.checks == reference.checks
+    assert [c.matrix for c in cert.checks] == [c.matrix for c in reference.checks]
+    assert list(cert.checks) == sorted(cert.checks, key=_canonical_alpha_key)
+    return cert
+
+
+@pytest.mark.parametrize("m", helpers.zoo(), ids=lambda m: repr(m))
+def test_certifier_matches_derivative_walk_on_zoo(m):
+    g = independence_polynomial(m)
+    if g.total_degree() >= 2:
+        assert _assert_matches_reference(g).accepted
+
+
+def test_certifier_matches_derivative_walk_on_seeded_polynomials():
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(150):
+        f = helpers.random_homogeneous_polynomial(rng, rng.randint(2, 5), rng.randint(2, 5))
+        cert = _assert_matches_reference(f)
+        kinds.add(cert.failure.kind if cert.failure else "accepted")
+    assert kinds == {"accepted", "indecomposable", "quadratic-nsd"}
+
+
+@st.composite
+def nonnegative_homogeneous(draw):
+    """Products of linear forms (completely log-concave), or random
+    terms, optionally confined to two variable blocks (decomposable)."""
+    nvars = draw(st.integers(2, 5))
+    degree = draw(st.integers(2, 5))
+    coeff = st.one_of(
+        st.integers(1, 9), st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+    )
+    if draw(st.booleans()):
+        f = SparsePolynomial.constant(nvars, 1)
+        for _ in range(degree):
+            support = draw(st.sets(st.integers(0, nvars - 1), min_size=1))
+            unit = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+            f = f * P(nvars, {unit[i]: draw(coeff) for i in support})
+        return f
+    cut = draw(st.integers(1, nvars))
+    blocks = [range(cut), range(cut, nvars)] if cut < nvars else [range(nvars)]
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        block = draw(st.sampled_from(blocks))
+        exp = [0] * nvars
+        for i in draw(st.lists(st.sampled_from(block), min_size=degree, max_size=degree)):
+            exp[i] += 1
+        terms[tuple(exp)] = draw(coeff)
+    return P(nvars, terms)
+
+
+@given(nonnegative_homogeneous())
+@settings(max_examples=150, deadline=None)
+def test_certifier_matches_derivative_walk_on_random_polynomials(f):
+    _assert_matches_reference(f)
+
+
 def test_certified_polynomials_are_log_concave_everywhere_sampled():
     rng = random.Random(11)
     for m in (uniform(2, 3), helpers.k3(), helpers.parallel_pair_plus_free()):
@@ -299,6 +363,21 @@ def test_class_matrices_are_negative_semidefinite_on_zoo():
         except AllLoops:
             continue
         assert is_negative_semidefinite(matrix).is_nsd
+
+
+def test_class_core_lemma_at_every_reachable_size():
+    # certify_clc_matroid passes every quadratic check because the core
+    # J_c - n'I_c is NSD whenever c <= n'; the CLI reaches n' <= 24
+    def core(nprime, c):
+        return SymmetricMatrix([[1 - nprime if a == b else 1 for b in range(c)] for a in range(c)])
+
+    for nprime in range(1, MAX_ENUMERATION_BOUND + 1):
+        for c in range(1, nprime + 1):
+            assert is_negative_semidefinite(core(nprime, c)).is_nsd
+        over = core(nprime, nprime + 1)
+        res = is_negative_semidefinite(over)
+        assert not res.is_nsd
+        assert over.quad(res.witness) > 0
 
 
 @pytest.mark.parametrize("m", helpers.zoo(), ids=lambda m: repr(m))
