@@ -100,27 +100,34 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError("UsageError", message)
 
 
-def _emit(config: RunConfig, payload: dict, summary: str) -> None:
+def _emit(config: RunConfig, payload: dict, summary: str, checks=None) -> None:
+    """Write the payload as one line of compact, key-sorted JSON.
+
+    ``checks``, when given, yields the text of the payload's "checks"
+    array (without brackets) in pieces; it sorts before every other
+    key, so it is written first and never held whole.
+    """
     payload.setdefault("schema_version", SCHEMA_VERSION)
     payload.setdefault("command", config.command)
     payload.setdefault("seed", config.seed)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8") as fh:
-            _write_line(fh, text)
+            _write_line(fh, text, checks)
     else:
-        _write_line(sys.stdout, text)
+        _write_line(sys.stdout, text, checks)
         sys.stdout.flush()
     print(summary, file=sys.stderr)
 
 
-def _write_line(fh, text: str) -> None:
-    """Write text and a newline in 1 MiB slices: a text stream encodes
-    each write whole, so one write would hold a second copy of the text
-    (30 MB for the U(8,16) certificate) at the peak."""
-    step = 1 << 20
-    for start in range(0, len(text), step):
-        fh.write(text[start : start + step])
+def _write_line(fh, text: str, checks) -> None:
+    if checks is not None:
+        fh.write('{"checks":[')
+        for piece in checks:
+            fh.write(piece)
+        fh.write("],")
+        text = text[1:]
+    fh.write(text)
     fh.write("\n")
 
 
@@ -308,7 +315,7 @@ def _cmd_certify_clc(config: RunConfig) -> int:
     else:
         source = _load_polynomial(config)
         cert = certify_clc_quadratic_criterion(source)
-    payload = cert.to_json(include_checks=True)
+    payload = cert.to_json(include_checks=False)
     if not cert.accepted:
         if not verify_certificate_failure(cert, source):
             raise _InputError("ConsistencyError", "witness failed re-verification")
@@ -317,6 +324,7 @@ def _cmd_certify_clc(config: RunConfig) -> int:
         config,
         payload,
         f"certify-clc: {cert.verdict} ({len(cert.checks)} checks)",
+        cert._checks_json(),
     )
     return 0 if cert.accepted else 1
 

@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import ConsistencyError, DimensionMismatch
 
 
@@ -111,7 +109,10 @@ class SymmetricMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self._rows for x in row)
 
-    def to_float_array(self) -> np.ndarray:
+    def to_float_array(self) -> "numpy.ndarray":
+        # numpy is loaded only by the float diagnostics
+        import numpy as np
+
         return np.array([[float(x) for x in row] for row in self._rows], dtype=float)
 
     def to_json_rows(self) -> list:
@@ -151,25 +152,24 @@ def _primitive(v: Iterable[Fraction]) -> tuple:
 def is_negative_semidefinite(q: SymmetricMatrix) -> NsdResult:
     """Exact NSD test with a re-verified counterexample on failure.
 
-    Works on P = -Q.  Positive pivots are eliminated symmetrically; the
-    running congruence P_t = E P E^T is tracked so that a failure vector
-    w for P_t lifts to v = E^T w for the original matrix.  A vanishing
-    pivot with a nonzero off-diagonal entry c at column j gives the
-    indefinite 2x2 block [[0, c], [c, b]], defeated by
+    Works on P = -Q.  Positive pivots are eliminated symmetrically, and
+    each pivot's multipliers are recorded: eliminating pivot k applies
+    L_k = I - sum_i l_i e_i e_k^T, so after it the trailing block is that
+    of P_t = E P E^T with E the product of the L_k.  A failure vector w
+    for P_t lifts to v = E^T w by applying the transposes L_k^T in
+    reverse order, which touches only w_k; E itself is never formed.  A
+    vanishing pivot with a nonzero off-diagonal entry c at column j
+    gives the indefinite 2x2 block [[0, c], [c, b]], defeated by
     w = -(b+1)/(2c) e_k + e_j which has w^T P w = -1.
     """
     d = q.dim
     p = [[-x for x in row] for row in q.rows()]
-    e = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    steps = []
 
     def lift(w):
-        v = [Fraction(0)] * d
-        for i, wi in enumerate(w):
-            if wi:
-                row = e[i]
-                for m in range(d):
-                    v[m] += wi * row[m]
-        witness = _primitive(v)
+        for k, mults in reversed(steps):
+            w[k] -= sum(li * w[i] for i, li in mults)
+        witness = _primitive(w)
         if q.quad(witness) <= 0:
             raise ConsistencyError("NSD witness failed its own re-check")
         return witness
@@ -190,19 +190,18 @@ def is_negative_semidefinite(q: SymmetricMatrix) -> NsdResult:
             w[k] = -(b + 1) / (2 * c)
             w[bad] = Fraction(1)
             return NsdResult(False, lift(w))
-        lam = [p[i][k] / pivot for i in range(k + 1, d)]
-        for off, li in enumerate(lam):
+        krow = p[k]
+        mults = []
+        for i in range(k + 1, d):
+            li = p[i][k] / pivot
             if li == 0:
                 continue
-            i = k + 1 + off
-            prow, krow = p[i], p[k]
-            for j in range(k, d):
+            mults.append((i, li))
+            prow = p[i]
+            # columns before k + 1 are never read again
+            for j in range(k + 1, d):
                 prow[j] -= li * krow[j]
-            erow, ekrow = e[i], e[k]
-            for j in range(d):
-                erow[j] -= li * ekrow[j]
-        for j in range(k + 1, d):
-            p[k][j] = Fraction(0)
+        steps.append((k, mults))
     return NsdResult(True, None)
 
 
@@ -210,4 +209,6 @@ def float_eigenvalues(q: SymmetricMatrix) -> list:
     """Eigenvalues in ascending order, floating point (diagnostic only)."""
     if q.dim == 0:
         return []
+    import numpy as np
+
     return [float(x) for x in np.linalg.eigvalsh(q.to_float_array())]

@@ -49,11 +49,13 @@ with no NSD test at run time.
 
 from __future__ import annotations
 
+import json
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
     AllLoops,
@@ -390,6 +392,39 @@ class CertificateCheck:
         return out
 
 
+class _LazyChecks(Sequence):
+    """Checks whose number is known before any is built.
+
+    ``make()`` returns a fresh iterator over the checks; iterating calls
+    it each time, and indexing builds the checks once and keeps them.
+    """
+
+    __slots__ = ("_len", "_make", "_built")
+
+    def __init__(self, length: int, make):
+        self._len = length
+        self._make = make
+        self._built = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return self._make() if self._built is None else iter(self._built)
+
+    def __getitem__(self, index):
+        if self._built is None:
+            self._built = tuple(self._make())
+        return self._built[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _LazyChecks)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    __hash__ = None
+
+
 @dataclass
 class CLCCertificate:
     """Outcome of the reduction-to-quadratics criterion.
@@ -404,20 +439,43 @@ class CLCCertificate:
     B1 and B2 has a block-diagonal Hessian Q at 1, and each block has
     1_B^T Q 1_B = k (k - 1) f_B(1) > 0 for its part f_B.  So Q has two
     positive eigenvalues, and d^alpha f is not log-concave at 1.
+
+    The general certifier holds its checks in a tuple.  A matroid
+    certificate builds its checks on demand: ``checks`` and
+    ``quadratic_checks()`` know their lengths by closed form, build the
+    checks afresh on each iteration and once for indexing, and the
+    certificate's JSON text is written from the contractions alone.
     """
 
     accepted: bool
     nvars: int
     degree: int
-    checks: tuple
+    checks: Sequence
     failure: Optional[CertificateCheck]
+    # buckets[s]: (zpart, non-loops, class pattern) of each independent J
+    # with |J| = s, sorted by zpart; set by certify_clc_matroid only
+    _buckets: Optional[list] = field(default=None, repr=False, compare=False)
 
     @property
     def verdict(self) -> str:
         return "accepted" if self.accepted else "rejected"
 
-    def quadratic_checks(self) -> tuple:
-        return tuple(c for c in self.checks if c.kind == "quadratic-nsd")
+    def quadratic_checks(self) -> Sequence:
+        if self._buckets is None:
+            return tuple(c for c in self.checks if c.kind == "quadratic-nsd")
+        return _LazyChecks(
+            sum(map(len, self._buckets)),
+            lambda: (c for c in self.checks if c.kind == "quadratic-nsd"),
+        )
+
+    def _checks_json(self):
+        """The JSON text of ``checks`` without its brackets, in pieces
+        whose concatenation equals the compact, key-sorted dump."""
+        if self._buckets is None:
+            checks = [c.to_json() for c in self.checks]
+            yield json.dumps(checks, sort_keys=True, separators=(",", ":"))[1:-1]
+        else:
+            yield from _matroid_checks_json(self.degree, self._buckets)
 
     def to_json(self, include_checks: bool = True) -> dict:
         out = {
@@ -545,11 +603,15 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
     The parallel-class matrix of M/J factors as P (J_c - n' I_c) P^T,
     and the c x c core has eigenvalues c - n' (once) and -n'.  It is NSD
     because c <= n' always holds (see the module docstring), so every
-    quadratic check passes by this closed form.  The checks are built in
-    canonical order from the enumerated family bucketed by |J|, with no
-    sort over the checks.  One class pass per J reads the parallel
-    classes of M/J off the independence masks, and element matrices are
-    shared between contractions with the same n' and class pattern.
+    quadratic check passes by this closed form.  Only the contractions
+    are kept: the enumerated family bucketed by |J|, each bucket sorted
+    by zpart, with one class pass per J reading the parallel classes of
+    M/J off the independence masks.  The class pass runs for every J
+    before this returns, so a family that is not a matroid raises
+    NotAMatroid here.  The checks themselves are built on demand, in
+    canonical order, each J with |J| <= n - 2 giving n - |J| of them;
+    element matrices are shared between contractions with the same n'
+    and class pattern.
 
     Ground sets with fewer than 2 elements are accepted with an empty
     check list: the polynomial has degree below 2 and all its
@@ -559,44 +621,73 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
     nv = m.ambient + 1
     if n < 2:
         return CLCCertificate(True, nv, n, (), None)
-    # buckets[s] holds (zpart, J) for the independent J with |J| = s,
-    # sorted by zpart, so the loops below emit the checks in canonical
-    # order: by |alpha| = k + |J|, then k, then zpart, and at each
-    # quadratic alpha the indecomposable check before the quadratic one.
     buckets = [[] for _ in range(n - 1)]
     for jmask in m.independent_set_masks(limit):
         size = jmask.bit_count()
         if size <= n - 2:
             buckets[size].append((tuple((jmask >> i) & 1 for i in range(nv - 1)), jmask))
-    for bucket in buckets:
+    # largest J first, in the order of their quadratic checks
+    for bucket in reversed(buckets):
         bucket.sort()
-    checks = []
+        bucket[:] = [(zpart,) + m._classes_after(jmask) for zpart, jmask in bucket]
+    matrices = {}
+    checks = _LazyChecks(
+        sum((n - size) * len(bucket) for size, bucket in enumerate(buckets)),
+        lambda: _matroid_checks(n, buckets, matrices),
+    )
+    return CLCCertificate(True, nv, n, checks, None, _buckets=buckets)
+
+
+def _matroid_checks(n: int, buckets: list, matrices: dict):
+    """The checks of g_M in canonical order: by |alpha| = k + |J|, then
+    k, then zpart, and at each quadratic alpha the indecomposable check
+    before the quadratic one."""
     for t in range(n - 2):
         for k in range(t + 1):
-            checks.extend(
-                CertificateCheck((k,) + zpart, "indecomposable", True)
-                for zpart, _ in buckets[t - k]
-            )
-    matrices = {}
+            for zpart, _, _ in buckets[t - k]:
+                yield CertificateCheck((k,) + zpart, "indecomposable", True)
     for k in range(n - 1):
         nprime = k + 2
-        for zpart, jmask in buckets[n - 2 - k]:
+        for zpart, nonloops, pattern in buckets[n - 2 - k]:
             alpha = (k,) + zpart
-            checks.append(CertificateCheck(alpha, "indecomposable", True))
-            nonloops, pattern = m._classes_after(jmask)
+            yield CertificateCheck(alpha, "indecomposable", True)
             if not nonloops:
-                checks.append(CertificateCheck(alpha, "quadratic-nsd", True))
+                yield CertificateCheck(alpha, "quadratic-nsd", True)
                 continue
             key = (nprime, pattern)
             matrix = matrices.get(key)
             if matrix is None:
                 matrix = matrices[key] = _element_matrix(nprime, pattern)
-            checks.append(
-                CertificateCheck(
-                    alpha, "quadratic-nsd", True, witness_labels=nonloops, matrix=matrix
-                )
+            yield CertificateCheck(
+                alpha, "quadratic-nsd", True, witness_labels=nonloops, matrix=matrix
             )
-    return CLCCertificate(accepted=True, nvars=nv, degree=n, checks=tuple(checks), failure=None)
+
+
+# contractions per piece of certificate text, about 300 KB
+_JSON_BATCH = 4096
+
+
+def _matroid_checks_json(n: int, buckets: list):
+    """The JSON text of _matroid_checks, comma-separated and in the same
+    order, joined in pieces of at most _JSON_BATCH contractions.  Every
+    check passes and carries no witness, so its text is its alpha."""
+    ind = '],"kind":"indecomposable","result":true}'
+    quad = '],"kind":"quadratic-nsd","result":true}'
+    zparts = [[",".join(map(str, zpart)) for zpart, _, _ in bucket] for bucket in buckets]
+    sep = ""
+    for t in range(n - 1):
+        quadratic = t == n - 2
+        tail = quad if quadratic else ind
+        for k in range(t + 1):
+            head = '{"alpha":[%d,' % k
+            zs = zparts[t - k]
+            for start in range(0, len(zs), _JSON_BATCH):
+                batch = zs[start : start + _JSON_BATCH]
+                if quadratic:
+                    # each J: its indecomposable check, then its quadratic one
+                    batch = [z + ind + "," + head + z for z in batch]
+                yield sep + head + (tail + "," + head).join(batch) + tail
+                sep = ","
 
 
 def verify_certificate_failure(cert: CLCCertificate, source) -> bool:

@@ -26,7 +26,6 @@ polynomials rather than equal up to relabeling.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import perm
 from types import MappingProxyType
 from typing import Optional, Sequence
@@ -252,7 +251,11 @@ class SparsePolynomial:
 
         jet[i][k][e] = e!/(e-k)! * x_i^(e-k) is the k-th derivative of
         x_i^e (zero when k > e); integral coordinates are multiplied as
-        ints.
+        ints.  A term c x^e with r active variables contributes to each
+        alpha the product of c and one jet factor per active variable.
+        Prefix and suffix products of the order-0 factors give all of
+        them in O(r^2) products, with no division (a coordinate may be
+        0); f itself is c * b_0 * ... * b_(r-1) in that order.
         """
         point = tuple(point)
         if len(point) != self.nvars:
@@ -269,12 +272,34 @@ class SparsePolynomial:
         out = {}
         for exp, c in self._terms.items():
             idx = [i for i, e in enumerate(exp) if e]
-            for k in range(order + 1):
-                for alpha in combinations_with_replacement(idx, k):
-                    v = c
-                    for i in idx:
-                        v = v * jet[i][alpha.count(i)][exp[i]]
-                    out[alpha] = out.get(alpha, 0) + v
+            r = len(idx)
+            # b, g, h: the order 0, 1, 2 jet factors of the active variables
+            b, *derived = ([jet[i][k][exp[i]] for i in idx] for k in range(order + 1))
+            # prefix[j] = c * b_0 * ... * b_(j-1)
+            prefix = [c]
+            for x in b:
+                prefix.append(prefix[-1] * x)
+            out[()] = out.get((), 0) + prefix[r]
+            if not order:
+                continue
+            # suffix[j] = b_j * ... * b_(r-1)
+            suffix = [1] * (r + 1)
+            for j in range(r - 1, -1, -1):
+                suffix[j] = b[j] * suffix[j + 1]
+            g = derived[0]
+            for j, i in enumerate(idx):
+                out[(i,)] = out.get((i,), 0) + prefix[j] * g[j] * suffix[j + 1]
+            if order < 2:
+                continue
+            h = derived[1]
+            for j, i in enumerate(idx):
+                out[(i, i)] = out.get((i, i), 0) + prefix[j] * h[j] * suffix[j + 1]
+                # run = prefix[j] * g_j * b_(j+1) * ... * b_(l-1)
+                run = prefix[j] * g[j]
+                for l in range(j + 1, r):
+                    alpha = (i, idx[l])
+                    out[alpha] = out.get(alpha, 0) + run * g[l] * suffix[l + 1]
+                    run = run * b[l]
         return out
 
     def evaluate(self, point: Sequence):

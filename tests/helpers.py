@@ -10,14 +10,17 @@ the library reads every check off the coefficients.
 
 import random
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, combinations_with_replacement
+from math import perm
 
 from matroidlc import (
     CertificateCheck,
     CLCCertificate,
+    ConsistencyError,
     DegreeTooLow,
     NegativeCoefficient,
     NotHomogeneous,
+    NsdResult,
     SparsePolynomial,
     from_independence_family,
     graphic,
@@ -27,6 +30,7 @@ from matroidlc import (
     log_concavity_test_matrix,
     uniform,
 )
+from matroidlc.linalg import _primitive
 
 
 def powerset(items):
@@ -203,6 +207,86 @@ def random_homogeneous_polynomial(rng: random.Random, nvars, degree, max_terms=8
 
 def random_positive_point(rng: random.Random, nvars):
     return tuple(Fraction(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(nvars))
+
+
+# -- reference jet evaluation (every factor multiplied for every alpha) -------
+
+
+def reference_values_at(f, point, order):
+    """{alpha: d^alpha f(point)} for sorted alpha of length <= order, each
+    term's contribution the product of c and all its jet factors in
+    variable order; the library shares prefix and suffix products."""
+    jet = []
+    for x, m in zip(point, map(max, zip(*f.terms))):
+        if isinstance(x, Fraction) and x.denominator == 1:
+            x = x.numerator
+        jet.append([[perm(e, k) * x ** max(e - k, 0) for e in range(m + 1)]
+                    for k in range(order + 1)])
+    out = {}
+    for exp, c in f.terms.items():
+        idx = [i for i, e in enumerate(exp) if e]
+        for k in range(order + 1):
+            for alpha in combinations_with_replacement(idx, k):
+                v = c
+                for i in idx:
+                    v = v * jet[i][alpha.count(i)][exp[i]]
+                out[alpha] = out.get(alpha, 0) + v
+    return out
+
+
+# -- reference NSD test (congruence tracked at every pivot) -------------------
+
+
+def reference_is_negative_semidefinite(q):
+    """Exact NSD test on P = -Q that updates the congruence E with
+    P_t = E P E^T at every pivot and lifts a failure vector w for P_t to
+    v = E^T w; the library records the multipliers instead."""
+    d = q.dim
+    p = [[-x for x in row] for row in q.rows()]
+    e = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+
+    def lift(w):
+        v = [Fraction(0)] * d
+        for i, wi in enumerate(w):
+            if wi:
+                row = e[i]
+                for m in range(d):
+                    v[m] += wi * row[m]
+        witness = _primitive(v)
+        if q.quad(witness) <= 0:
+            raise ConsistencyError("NSD witness failed its own re-check")
+        return witness
+
+    for k in range(d):
+        pivot = p[k][k]
+        if pivot < 0:
+            w = [Fraction(0)] * d
+            w[k] = Fraction(1)
+            return NsdResult(False, lift(w))
+        if pivot == 0:
+            bad = next((j for j in range(k + 1, d) if p[k][j] != 0), None)
+            if bad is None:
+                continue
+            c = p[k][bad]
+            b = p[bad][bad]
+            w = [Fraction(0)] * d
+            w[k] = -(b + 1) / (2 * c)
+            w[bad] = Fraction(1)
+            return NsdResult(False, lift(w))
+        lam = [p[i][k] / pivot for i in range(k + 1, d)]
+        for off, li in enumerate(lam):
+            if li == 0:
+                continue
+            i = k + 1 + off
+            prow, krow = p[i], p[k]
+            for j in range(k, d):
+                prow[j] -= li * krow[j]
+            erow, ekrow = e[i], e[k]
+            for j in range(d):
+                erow[j] -= li * ekrow[j]
+        for j in range(k + 1, d):
+            p[k][j] = Fraction(0)
+    return NsdResult(True, None)
 
 
 # -- reference certifier (derivative polynomials, level by level) -------------

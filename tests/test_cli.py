@@ -14,8 +14,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import brute_axiom_failure, powerset
-from matroidlc import cli
+from matroidlc import (
+    certify_clc_matroid,
+    certify_clc_quadratic_criterion,
+    cli,
+    logconcavity,
+    matroid_from_json,
+    matroid_to_json,
+    polynomial_from_json,
+)
 
 U23 = {"kind": "uniform", "r": 2, "n": 3}
 K3 = {"kind": "graphic", "vertices": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
@@ -131,8 +140,8 @@ def _labels(n):
 
 
 @st.composite
-def explicit_inputs(draw):
-    n = draw(st.integers(min_value=0, max_value=20))
+def explicit_inputs(draw, max_n=20):
+    n = draw(st.integers(min_value=0, max_value=max_n))
     sets = draw(st.lists(st.lists(_labels(n), max_size=4), max_size=8))
     if draw(st.booleans()):
         sets = [list(sub) for s in sets for sub in powerset(s)]
@@ -163,6 +172,88 @@ def test_validate_fuzz_ends_in_one_json_object(tmp_path, obj):
     else:
         assert code == 2
         assert payload["error"]["type"] == "ElementOutOfRange"
+
+
+def _junk():
+    return st.one_of(
+        st.none(), st.floats(), st.text(max_size=3), st.lists(st.integers(-1, 9), max_size=2)
+    )
+
+
+def _spoil(draw, obj):
+    """Well-formed objects, except that one in five has a field replaced
+    by junk or an entry that does not parse."""
+    if draw(st.integers(0, 4)) == 0:
+        obj[draw(st.sampled_from(sorted(obj)))] = draw(
+            st.one_of(_junk(), st.sampled_from([[["1/0"]], [[1, "a"]], -1, 10**6]))
+        )
+    return obj
+
+
+@st.composite
+def matroid_inputs(draw):
+    kind = draw(st.sampled_from(["uniform", "graphic", "linear", "explicit"]))
+    if kind == "explicit":
+        return _spoil(draw, draw(explicit_inputs(max_n=8)))
+    if kind == "uniform":
+        n = draw(st.integers(0, 8))
+        return _spoil(draw, {"kind": kind, "n": n, "r": draw(st.integers(-1, n + 1))})
+    if kind == "graphic":
+        vertices = draw(st.integers(1, 5))
+        edge = st.lists(st.integers(1, vertices), min_size=2, max_size=2)
+        edges = draw(st.lists(edge, max_size=8))
+        return _spoil(draw, {"kind": kind, "vertices": vertices, "edges": edges})
+    rows = draw(st.integers(1, 3))
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3"]))
+    columns = draw(st.lists(st.lists(entry, min_size=rows, max_size=rows), max_size=8))
+    modulus = draw(st.sampled_from([0, 2, 3, 5, 7, 4]))
+    return _spoil(draw, {"kind": kind, "modulus": modulus, "columns": columns})
+
+
+@st.composite
+def polynomial_inputs(draw):
+    nvars = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 4))
+    homogeneous = draw(st.booleans())
+    coeff = st.one_of(st.integers(1, 9), st.sampled_from(["1/3", "5/2", "0", "-1"]))
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        exp = [0] * nvars
+        for _ in range(degree if homogeneous else draw(st.integers(0, 4))):
+            exp[draw(st.integers(0, nvars - 1))] += 1
+        terms.append({"exp": exp, "coeff": draw(coeff)})
+    return _spoil(draw, {"nvars": nvars, "terms": terms})
+
+
+@given(st.one_of(matroid_inputs(), polynomial_inputs()))
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_every_command_ends_in_one_json_object(tmp_path, obj):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    if "nvars" in obj:
+        calls = [["certify-clc", "--poly"], ["spectral", "--poly"]]
+    else:
+        calls = [
+            ["validate", "--input"],
+            ["rank-sequence", "--input"],
+            ["mason", "--input"],
+            ["certify-clc", "--input"],
+            ["spectral", "--input"],
+            ["spectral", "--bases", "--input"],
+        ]
+    for args in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(args + [str(path)])
+        assert code in (0, 1, 2), args
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1, args
+        assert isinstance(json.loads(lines[0]), dict), args
+        assert "Traceback" not in err.getvalue(), args
 
 
 # -- rank-sequence ---------------------------------------------------------------
@@ -222,6 +313,58 @@ def test_certify_polynomial_rejection_carries_verified_witness(write_json, capsy
     failure = payload["failure"]
     assert failure["witness"]["components"] == [[0], [1]]
     assert failure["reverified"] is True
+
+
+# accepted: (x + y)(x + 2y)(x + y + z); rejected by its quadratic: x^2 + xy + y^2
+PRODUCT_POLY = {
+    "nvars": 3,
+    "terms": [
+        {"exp": list(e), "coeff": c}
+        for e, c in [
+            ((3, 0, 0), "1"), ((2, 1, 0), "4"), ((2, 0, 1), "1"), ((1, 2, 0), "5"),
+            ((1, 1, 1), "3"), ((0, 3, 0), "2"), ((0, 2, 1), "2"),
+        ]
+    ],
+}
+QUADRATIC_FAIL_POLY = {
+    "nvars": 2,
+    "terms": [{"exp": list(e), "coeff": "1"} for e in [(2, 0), (1, 1), (0, 2)]],
+}
+
+
+@pytest.mark.parametrize(
+    "flag, obj",
+    [("--input", matroid_to_json(m)) for m in helpers.zoo()]
+    + [
+        ("--input", {"kind": "uniform", "r": 6, "n": 12}),
+        ("--poly", PRODUCT_POLY),
+        ("--poly", SOS_POLY),
+        ("--poly", QUADRATIC_FAIL_POLY),
+    ],
+    ids=lambda x: x if isinstance(x, str) else json.dumps(x)[:40],
+)
+def test_streamed_certificate_equals_library_json(
+    write_json, capsys, monkeypatch, tmp_path, flag, obj
+):
+    if flag == "--input":
+        cert = certify_clc_matroid(matroid_from_json(obj))
+    else:
+        cert = certify_clc_quadratic_criterion(polynomial_from_json(obj))
+    payload = cert.to_json()
+    if not cert.accepted:
+        payload["failure"]["reverified"] = True
+    payload.update(schema_version=1, command="certify-clc", seed=0)
+    expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    code = 0 if cert.accepted else 1
+    args = ["certify-clc", flag, write_json("in.json", obj)]
+    # the default batch, and one small enough to split every level
+    for batch in (logconcavity._JSON_BATCH, 3):
+        monkeypatch.setattr(logconcavity, "_JSON_BATCH", batch)
+        assert (cli.main(args), capsys.readouterr().out) == (code, expected)
+        out = tmp_path / "out.json"
+        assert cli.main(args + ["--output", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == expected
 
 
 def test_certify_requires_exactly_one_source(write_json, capsys):
@@ -459,6 +602,21 @@ def test_repeated_calls_match_fresh_processes(write_json, capsys, monkeypatch):
             capture_output=True, text=True, env=env,
         )
         assert (code, out) == (fresh.returncode, fresh.stdout)
+
+
+def test_exact_commands_do_not_load_numpy(write_json):
+    m = write_json("m.json", K3)
+    script = (
+        "import sys\n"
+        "from matroidlc import cli\n"
+        f"for command in {['validate', 'rank-sequence', 'mason', 'certify-clc']!r}:\n"
+        f"    cli.main([command, '--input', {m!r}])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_large_prime_modulus_accepted(write_json, capsys):

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
+from helpers import reference_is_negative_semidefinite
 from matroidlc import (
     DimensionMismatch,
     NsdResult,
     SymmetricMatrix,
+    certify_clc_quadratic_criterion,
     float_eigenvalues,
     is_negative_semidefinite,
 )
@@ -159,6 +162,7 @@ def test_exact_verdict_matches_float_classification(seed):
     dim = rng.randint(1, 6)
     q = _random_symmetric(rng, dim, make_nsd=rng.random() < 0.5)
     res = is_negative_semidefinite(q)
+    assert res == reference_is_negative_semidefinite(q)
     eigs = np.linalg.eigvalsh(np.array(q.to_float_array(), dtype=float))
     top = float(eigs.max())
     if abs(top) > 1e-8:
@@ -167,6 +171,21 @@ def test_exact_verdict_matches_float_classification(seed):
         assert all(q[i, i] <= 0 for i in range(dim))
     else:
         assert q.quad(res.witness) > 0
+
+
+def test_verdicts_and_witnesses_match_eager_congruence_on_poly_quadratics():
+    # the quadratic test matrices the --poly certifier meets, failing or not
+    rng = random.Random(3)
+    failing = 0
+    for _ in range(300):
+        f = helpers.random_homogeneous_polynomial(rng, rng.randint(2, 6), rng.randint(2, 5), 12)
+        for check in certify_clc_quadratic_criterion(f).checks:
+            if check.kind == "quadratic-nsd":
+                expected = reference_is_negative_semidefinite(check.matrix)
+                assert is_negative_semidefinite(check.matrix) == expected
+                assert (check.result, check.witness_vector) == (expected.is_nsd, expected.witness)
+                failing += not check.result
+    assert failing >= 50
 
 
 def test_witness_is_primitive_integer_vector():

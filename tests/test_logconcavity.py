@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import _canonical_alpha_key
+from matroidlc import logconcavity
 from matroidlc import (
     AllLoops,
     DegreeTooLow,
@@ -463,9 +464,9 @@ def test_matroid_certificate_checks_in_canonical_order(m):
     n = m.n_elements
     assert list(cert.checks) == sorted(cert.checks, key=_canonical_alpha_key)
     family = [j for j in m.independent_sets() if len(j) <= n - 2]
-    assert len(cert.checks) == sum(n - len(j) for j in family)
+    assert len(cert.checks) == len(list(cert.checks)) == sum(n - len(j) for j in family)
     quadratic = {c.alpha[1:]: c for c in cert.quadratic_checks()}
-    assert len(quadratic) == len(family)
+    assert len(quadratic) == len(cert.quadratic_checks()) == len(family)
     for j in family:
         check = quadratic[tuple(int(i in j) for i in range(1, m.ambient + 1))]
         assert check.alpha[0] == n - 2 - len(j)
@@ -475,6 +476,30 @@ def test_matroid_certificate_checks_in_canonical_order(m):
         else:
             assert check.witness_labels == expected[0]
             assert rows_int(check.matrix) == expected[1]
+
+
+def test_matroid_certificate_lengths_build_no_checks(monkeypatch):
+    built = []
+    real = logconcavity.CertificateCheck
+    monkeypatch.setattr(
+        logconcavity, "CertificateCheck", lambda *a, **kw: built.append(1) or real(*a, **kw)
+    )
+    m = uniform(6, 12)
+    cert = certify_clc_matroid(m)
+    family = [j for j in m.independent_sets() if len(j) <= 10]
+    assert len(cert.checks) == sum(12 - len(j) for j in family)
+    assert len(cert.quadratic_checks()) == len(family)
+    assert cert.to_json(include_checks=False)["num_checks"] == len(cert.checks)
+    assert built == []
+    # iterating builds the checks afresh; indexing builds them once and
+    # later iterations reuse them
+    first = list(cert.checks)
+    assert first == list(cert.checks)
+    assert len(built) == 2 * len(first)
+    assert cert.checks[0] is cert.checks[0]
+    assert cert.checks[-1] == first[-1]
+    assert cert.checks == tuple(first) and list(cert.checks)[5] is cert.checks[5]
+    assert len(built) == 3 * len(first)
 
 
 def test_matroid_certificate_uniform_2_3():

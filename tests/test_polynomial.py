@@ -13,6 +13,7 @@ from helpers import (
     parallel_pair_plus_free,
     random_homogeneous_polynomial,
     random_positive_point,
+    reference_values_at,
     single_loop,
     zoo,
 )
@@ -217,6 +218,31 @@ def _random_polynomial(rng, nv):
         else:
             terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
     return P(nv, terms)
+
+
+def test_values_match_full_products_exactly():
+    # same keys in the same order, same values and types; at float points
+    # f itself is multiplied in the same order, so it matches bit for bit
+    rng = random.Random(23)
+    for _ in range(300):
+        nv = rng.randint(1, 6)
+        f = _random_polynomial(rng, nv)
+        coordinate = rng.choice([
+            lambda: Fraction(rng.randint(0, 3)),
+            lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+            lambda: rng.randint(-2, 3),
+            lambda: rng.uniform(-2.0, 2.0),
+        ])
+        a = tuple(coordinate() for _ in range(nv))
+        for order in (0, 1, 2):
+            got, expected = f._values_at(a, order), reference_values_at(f, a, order)
+            assert list(got) == list(expected)
+            if isinstance(a[0], float) and order:
+                assert all(got[k] == pytest.approx(expected[k]) for k in got)
+            else:
+                assert [(v, type(v)) for v in got.values()] == [
+                    (v, type(v)) for v in expected.values()
+                ]
 
 
 def test_values_match_symbolic_route():
