@@ -338,6 +338,11 @@ def _cmd_spectral(config: RunConfig) -> int:
         m = _load_matroid(config)
         if config.use_bases:
             f = bases_polynomial(m, config.enumeration_bound)
+        elif config.point is None:
+            # enumerate under the run's bound; the spectral report then reads
+            # g_M at the all-ones point off the counts of the cached family
+            m.independent_set_masks(config.enumeration_bound)
+            f = m
         else:
             f = independence_polynomial(m, config.enumeration_bound)
     else:

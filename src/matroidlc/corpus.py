@@ -25,7 +25,6 @@ from typing import Iterable, List, Tuple
 from .logconcavity import spectral_nd_report
 from .mason import mason_report
 from .matroid import Matroid, _find, from_independence_family, graphic, linear, uniform
-from .polynomial import independence_polynomial
 
 SCHEMA_VERSION = 1
 
@@ -167,7 +166,7 @@ def corpus_instances(config: CorpusConfig) -> List[Tuple[str, Matroid]]:
 def analyze_instance(instance_id: str, m: Matroid, config: CorpusConfig) -> dict:
     """One-line-per-matroid summary of the full verification pipeline."""
     report = mason_report(m)
-    spectral = spectral_nd_report(independence_polynomial(m))
+    spectral = spectral_nd_report(m)
     max_eig = spectral.max_eigenvalue
     minors_ok = all(c.nonpositive for c in report.minor_checks)
     passed = (

@@ -109,11 +109,19 @@ class SymmetricMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self._rows for x in row)
 
-    def to_float_array(self) -> "numpy.ndarray":
+    def to_float_array(self, scale=1) -> "numpy.ndarray":
+        """The entries divided by ``scale``, each rounded once from its
+        exact quotient: integer true division rounds correctly, as
+        ``float(Fraction)`` does."""
         # numpy is loaded only by the float diagnostics
         import numpy as np
 
-        return np.array([[float(x) for x in row] for row in self._rows], dtype=float)
+        scale = _as_fraction(scale)
+        num, den = scale.denominator, scale.numerator
+        return np.array(
+            [[x.numerator * num / (x.denominator * den) for x in row] for row in self._rows],
+            dtype=float,
+        )
 
     def to_json_rows(self) -> list:
         return [[str(x) for x in row] for row in self._rows]
@@ -205,10 +213,11 @@ def is_negative_semidefinite(q: SymmetricMatrix) -> NsdResult:
     return NsdResult(True, None)
 
 
-def float_eigenvalues(q: SymmetricMatrix) -> list:
-    """Eigenvalues in ascending order, floating point (diagnostic only)."""
+def float_eigenvalues(q: SymmetricMatrix, scale=1) -> list:
+    """Eigenvalues of q / scale in ascending order, floating point
+    (diagnostic only)."""
     if q.dim == 0:
         return []
     import numpy as np
 
-    return [float(x) for x in np.linalg.eigvalsh(q.to_float_array())]
+    return [float(x) for x in np.linalg.eigvalsh(q.to_float_array(scale))]

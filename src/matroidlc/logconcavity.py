@@ -45,6 +45,21 @@ quadratic is log-concave exactly when c <= n'.  That always holds: each
 class holds at least one non-loop, and M/J has n' elements.  So
 certify_clc_matroid passes every quadratic check by this closed form,
 with no NSD test at run time.
+
+The spectral diagnostic of g_M at the all-ones point needs no
+polynomial either.  With F the family of independent sets, m the number
+of elements, c_i = #{I in F : i in I} and p_ij = #{I in F : i, j in I}:
+
+    f(1) = |F|
+    d_{z_i} = c_i,  d_{z_i} d_{z_j} = p_ij for i != j,  d_{z_i}^2 = 0
+    d_y = m |F| - S1,  with S1 = sum_i c_i = sum_I |I|
+    d_y d_{z_i} = (m - 1) c_i - sum_{j != i} p_ij
+    d_y^2 = sum_I (m - |I|)(m - |I| - 1),  from sum_I |I| = S1 and
+            sum_I |I|^2 = S1 + sum_{i != j} p_ij
+
+Loops and contracted labels get zero rows.  spectral_nd_report builds
+the pair matrix f Hess f - grad f grad f^T from these counts when it is
+given a matroid and no point.
 """
 
 from __future__ import annotations
@@ -67,7 +82,7 @@ from .errors import (
     ZeroAtPoint,
 )
 from .linalg import SymmetricMatrix, float_eigenvalues, is_negative_semidefinite
-from .matroid import Matroid, _find
+from .matroid import Matroid, _extensions, _find
 from .polynomial import SparsePolynomial, independence_polynomial
 
 
@@ -606,12 +621,12 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
     quadratic check passes by this closed form.  Only the contractions
     are kept: the enumerated family bucketed by |J|, each bucket sorted
     by zpart, with one class pass per J reading the parallel classes of
-    M/J off the independence masks.  The class pass runs for every J
-    before this returns, so a family that is not a matroid raises
-    NotAMatroid here.  The checks themselves are built on demand, in
-    canonical order, each J with |J| <= n - 2 giving n - |J| of them;
-    element matrices are shared between contractions with the same n'
-    and class pattern.
+    M/J off the one-step extension masks of the family, O(n) lookups
+    per J.  The class pass runs for every J before this returns, so a
+    family that is not a matroid raises NotAMatroid here.  The checks
+    themselves are built on demand, in canonical order, each J with
+    |J| <= n - 2 giving n - |J| of them; element matrices are shared
+    between contractions with the same n' and class pattern.
 
     Ground sets with fewer than 2 elements are accepted with an empty
     check list: the polynomial has degree below 2 and all its
@@ -621,15 +636,17 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
     nv = m.ambient + 1
     if n < 2:
         return CLCCertificate(True, nv, n, (), None)
+    family = m.independent_set_masks(limit)
+    ext = _extensions(family).__getitem__
     buckets = [[] for _ in range(n - 1)]
-    for jmask in m.independent_set_masks(limit):
+    for jmask in family:
         size = jmask.bit_count()
         if size <= n - 2:
             buckets[size].append((tuple((jmask >> i) & 1 for i in range(nv - 1)), jmask))
     # largest J first, in the order of their quadratic checks
     for bucket in reversed(buckets):
         bucket.sort()
-        bucket[:] = [(zpart,) + m._classes_after(jmask) for zpart, jmask in bucket]
+        bucket[:] = [(zpart,) + m._classes_after(jmask, ext) for zpart, jmask in bucket]
     matrices = {}
     checks = _LazyChecks(
         sum((n - size) * len(bucket) for size, bucket in enumerate(buckets)),
@@ -756,24 +773,61 @@ class SpectralReport:
         }
 
 
-def spectral_nd_report(f: SparsePolynomial, a: Optional[Sequence] = None) -> SpectralReport:
+def _matroid_pair_matrix(m: Matroid) -> tuple:
+    """f(1) and the pair matrix of g_M at the all-ones point, from the
+    counts c_i and p_ij of the family (see the module docstring).
+
+    The family is laid out as one integer with a lane of whole bytes per
+    mask; shifting it by i - 1 and keeping the lowest bit of every lane
+    gives the column of element i, so c_i and p_ij are bit counts.
+    """
+    family = m.independent_set_masks()
+    n, nv, size = m.n_elements, m.ambient + 1, len(family)
+    width = (nv + 7) // 8
+    packed = int.from_bytes(b"".join(mask.to_bytes(width, "little") for mask in family), "little")
+    lanes = int.from_bytes((b"\x01" + bytes(width - 1)) * size, "little")
+    labels = m.ground
+    cols = [(packed >> (i - 1)) & lanes for i in labels]
+    # the diagonal holds c_i, so row i sums to c_i + sum over j != i of p_ij
+    pairs = [[(x & y).bit_count() for y in cols] for x in cols]
+    s1 = sum(row[k] for k, row in enumerate(pairs))
+    hess = [[0] * nv for _ in range(nv)]
+    grad = [0] * nv
+    grad[0] = n * size - s1
+    hess[0][0] = (n - 1) * (n * size - 2 * s1) + sum(map(sum, pairs)) - s1
+    for k, (i, row) in enumerate(zip(labels, pairs)):
+        grad[i] = row[k]
+        hess[0][i] = hess[i][0] = n * row[k] - sum(row)
+        for j, p in zip(labels, row):
+            if j != i:
+                hess[i][j] = p
+    fa = Fraction(size)
+    return fa, _rank_one_update(hess, fa, grad)
+
+
+def spectral_nd_report(source, a: Optional[Sequence] = None) -> SpectralReport:
     """Eigenvalues of the Hessian of log f at a (default all-ones).
 
-    Exact arithmetic up to the final eigenvalue call, which is floating
-    point and diagnostic only; exact verdicts come from the NSD test.
+    ``source`` is a SparsePolynomial f or a Matroid, for f = g_M.  A
+    matroid at the all-ones point takes its pair matrix from the counts
+    of its family, without building g_M.  Exact arithmetic up to the
+    final eigenvalue call, which is floating point and diagnostic only;
+    exact verdicts come from the NSD test.
     """
-    if a is None:
-        a = (Fraction(1),) * f.nvars
-    a = _rational_point(f, a)
-    fa, numerator = _pair_matrix(f, a)
-    if fa <= 0:
-        raise ZeroAtPoint("spectral report requires f(a) > 0")
-    scaled = numerator.scaled(Fraction(1, 1) / (fa * fa))
+    if isinstance(source, Matroid) and a is None:
+        a = (Fraction(1),) * (source.ambient + 1)
+        fa, numerator = _matroid_pair_matrix(source)
+    else:
+        f = independence_polynomial(source) if isinstance(source, Matroid) else source
+        a = _rational_point(f, (Fraction(1),) * f.nvars if a is None else a)
+        fa, numerator = _pair_matrix(f, a)
+        if fa <= 0:
+            raise ZeroAtPoint("spectral report requires f(a) > 0")
     return SpectralReport(
         point=a,
         value=fa,
         pair_matrix=numerator,
-        eigenvalues=tuple(float_eigenvalues(scaled)),
+        eigenvalues=tuple(float_eigenvalues(numerator, fa * fa)),
     )
 
 

@@ -225,34 +225,47 @@ class Matroid:
         loops = frozenset(self.ground).difference(labels)
         return ParallelPartition(loops, tuple(frozenset(cls) for cls in classes))
 
-    def _classes_after(self, jmask: int) -> tuple:
-        """Non-loops of M/J ascending, and the parallel class index of each,
-        for an independent mask J.
-
-        An element e outside J is a loop of M/J when J + e is dependent.
-        Otherwise ``hit`` collects the earlier non-loops r with J + e + r
-        dependent: e opens a new class when ``hit`` is empty and joins
-        the class whose members are exactly ``hit`` otherwise.  Classes
-        are numbered by their smallest member.  Parallelism must be
-        transitive on a real matroid, so any other ``hit`` raises
-        NotAMatroid with a witness triple; the check is kept because
-        explicit families can be constructed with validation switched
-        off.
-        """
+    def _extensions_by_test(self, amask: int) -> int:
+        """Mask of the x outside A with A + x independent, by independence
+        tests; the one-step extensions of a single independent A."""
         indep = self._is_independent_mask
-        members = []
-        class_of = {}
-        rest = self._ground_mask & ~jmask
+        out = 0
+        rest = self._ground_mask & ~amask
         while rest:
             bit = rest & -rest
             rest ^= bit
-            je = jmask | bit
-            if not indep(je):
-                continue
-            hit = 0
-            for r in class_of:
-                if not indep(je | r):
-                    hit |= r
+            if indep(amask | bit):
+                out |= bit
+        return out
+
+    def _classes_after(self, jmask: int, ext=None) -> tuple:
+        """Non-loops of M/J ascending, and the parallel class index of each,
+        for an independent mask J.
+
+        ``ext(A)`` is the mask of the x with A + x independent, for
+        independent A: a lookup in the map of ``_extensions`` when the
+        family is at hand, independence tests otherwise.  The non-loops
+        of M/J are ext(J), and the earlier non-loops r parallel to a
+        non-loop e (J + e + r dependent) are ext(J) - ext(J + e) below e.
+        e opens a new class when there are none and joins the class
+        whose members are exactly these otherwise.  Classes are numbered
+        by their smallest member.  Parallelism must be transitive on a
+        real matroid, so any other set raises NotAMatroid with a witness
+        triple; the check is kept because explicit families can be
+        constructed with validation switched off.
+        """
+        if ext is None:
+            ext = self._extensions_by_test
+        free = ext(jmask)
+        labels = []
+        members = []
+        class_of = {}
+        rest = free
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            labels.append(bit.bit_length())
+            hit = free & ~ext(jmask | bit) & (bit - 1)
             if hit:
                 low = hit & -hit
                 c = class_of[low]
@@ -267,7 +280,7 @@ class Matroid:
                 c = len(members)
                 members.append(bit)
             class_of[bit] = c
-        return tuple(r.bit_length() for r in class_of), tuple(class_of.values())
+        return tuple(labels), tuple(class_of.values())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n_elements}, ambient={self.ambient})"
@@ -568,24 +581,40 @@ def from_independence_family(
     return ExplicitMatroid(n, frozenset(masks))
 
 
-def _validate_family(masks) -> None:
-    """Raise AxiomViolation unless a nonempty mask family is a matroid, by
-    downward closure and the local exchange rule, in O(|F| n^2) mask
-    operations."""
-    addable = dict.fromkeys(masks, 0)
+def _extensions(masks) -> dict:
+    """ext[A] = mask of the x with A + x in the family, for every A in it,
+    in O(|F| n) mask operations."""
+    ext = dict.fromkeys(masks, 0)
     for mask in masks:
         m = mask
         while m:
             bit = m & -m
-            if mask ^ bit not in addable:
-                raise AxiomViolation(
-                    "downward-closure",
-                    (_set_of(mask ^ bit), _set_of(mask)),
-                    f"subset {sorted(_mask_bits(mask ^ bit))} of independent "
-                    f"{sorted(_mask_bits(mask))} is missing",
-                )
-            addable[mask ^ bit] |= bit
             m ^= bit
+            sub = mask ^ bit
+            if sub in ext:
+                ext[sub] |= bit
+    return ext
+
+
+def _validate_family(masks) -> None:
+    """Raise AxiomViolation unless a nonempty mask family is a matroid, by
+    downward closure and the local exchange rule, in O(|F| n^2) mask
+    operations."""
+    addable = _extensions(masks)
+    # closed exactly when every one-element removal was found in the family
+    if sum(map(int.bit_count, addable.values())) != sum(map(int.bit_count, masks)):
+        for mask in masks:
+            m = mask
+            while m:
+                bit = m & -m
+                m ^= bit
+                if mask ^ bit not in addable:
+                    raise AxiomViolation(
+                        "downward-closure",
+                        (_set_of(mask ^ bit), _set_of(mask)),
+                        f"subset {sorted(_mask_bits(mask ^ bit))} of independent "
+                        f"{sorted(_mask_bits(mask))} is missing",
+                    )
     for base, free in addable.items():
         rest = free
         while rest:

@@ -59,8 +59,10 @@ def corpus_analysis():
     rows = []
     for iid, m in corpus_instances(config):
         report = mason_report(m)
+        # the same spectral call as analyze_instance; g_M only for the
+        # criteria that read the polynomial itself
+        spectral = spectral_nd_report(m)
         g = independence_polynomial(m)
-        spectral = spectral_nd_report(g)
         rows.append(SimpleNamespace(id=iid, matroid=m, poly=g, report=report, spectral=spectral))
     elapsed = time.perf_counter() - start
     return SimpleNamespace(config=config, rows=rows, elapsed=elapsed)

@@ -20,10 +20,12 @@ from matroidlc import (
     certify_clc_matroid,
     certify_clc_quadratic_criterion,
     cli,
+    independence_polynomial,
     logconcavity,
     matroid_from_json,
     matroid_to_json,
     polynomial_from_json,
+    polynomial_to_json,
 )
 
 U23 = {"kind": "uniform", "r": 2, "n": 3}
@@ -389,6 +391,21 @@ def test_spectral_on_matroid(write_json, capsys):
     assert payload["all_nonpositive"] is True
     assert payload["max_eigenvalue"] == pytest.approx(-1 / 7)
     assert len(payload["eigenvalues"]) == 4
+
+
+@pytest.mark.parametrize("m", helpers.zoo(), ids=repr)
+def test_spectral_input_matches_polynomial_route(write_json, capsys, m):
+    # a matroid at the all-ones point skips g_M; the bytes must not change
+    matroid = write_json("m.json", matroid_to_json(m))
+    poly = write_json("g.json", polynomial_to_json(independence_polynomial(m)))
+    point = ",".join(str(i + 1) for i in range(m.ambient + 1))
+    for extra in ([], ["--point", point]):
+        code = cli.main(["spectral", "--input", matroid] + extra)
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == (
+            cli.main(["spectral", "--poly", poly] + extra),
+            *capsys.readouterr(),
+        )
 
 
 def test_spectral_flags_positive_eigenvalue(write_json, capsys):

@@ -131,6 +131,18 @@ def test_float_eigenvalues_ascending():
     assert eigs[1] == pytest.approx(2.0)
 
 
+def test_scaled_float_array_rounds_like_fraction():
+    # each entry is rounded once, from the exact quotient x / scale
+    rng = random.Random(7)
+    for _ in range(200):
+        big = 10 ** rng.randint(0, 40)
+        x = Fraction(rng.randint(-big, big), rng.randint(1, big))
+        scale = Fraction(rng.randint(1, big), rng.randint(1, big)) ** 2
+        got = S([[x]]).to_float_array(scale)[0][0]
+        assert got == float(x / scale)
+        assert float_eigenvalues(S([[x]]), scale) == [float(x / scale)]
+
+
 # -- randomized agreement with floating classification ----------------------
 
 

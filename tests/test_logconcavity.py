@@ -4,6 +4,7 @@ reduction-to-quadratics certifier, and its matroid specialization."""
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from helpers import _canonical_alpha_key
 from matroidlc import logconcavity
 from matroidlc import (
     AllLoops,
+    CorpusConfig,
     DegreeTooLow,
     NegativeCoefficient,
     NotAMatroid,
@@ -22,10 +24,13 @@ from matroidlc import (
     SparsePolynomial,
     SymmetricMatrix,
     ZeroAtPoint,
+    analyze_instance,
     bases_polynomial,
     certify_clc_matroid,
     certify_clc_quadratic_criterion,
+    corpus_instances,
     from_independence_family,
+    graphic,
     independence_polynomial,
     is_indecomposable,
     is_negative_semidefinite,
@@ -614,6 +619,63 @@ def test_spectral_report_json():
     payload = spectral_nd_report(Z1Z2).to_json()
     assert payload["max_eigenvalue"] == pytest.approx(-1.0)
     assert payload["point"] == ["1", "1"]
+
+
+def _assert_same_spectral_report(report, generic):
+    assert report.point == generic.point
+    assert (report.value, type(report.value)) == (generic.value, type(generic.value))
+    assert report.pair_matrix == generic.pair_matrix
+    assert report.eigenvalues == generic.eigenvalues
+
+
+SPECTRAL_MATROIDS = helpers.zoo() + [
+    helpers.sparse_contraction(),
+    # loops 1 and 5, parallel classes {2, 3} and {4, 6}
+    graphic(4, [(1, 1), (1, 2), (1, 2), (2, 3), (3, 3), (2, 3), (3, 4)]),
+    uniform(0, 0),
+    uniform(0, 1),
+    uniform(1, 1),
+]
+
+
+@pytest.mark.parametrize("m", SPECTRAL_MATROIDS, ids=repr)
+def test_matroid_spectral_report_equals_polynomial_route(m):
+    g = independence_polynomial(m)
+    _assert_same_spectral_report(spectral_nd_report(m), spectral_nd_report(g))
+    point = tuple(Fraction(i + 1, 2) for i in range(g.nvars))
+    _assert_same_spectral_report(spectral_nd_report(m, point), spectral_nd_report(g, point))
+
+
+def test_matroid_spectral_report_equals_polynomial_route_on_corpus():
+    for _, m in corpus_instances(CorpusConfig(seed=1)):
+        report = spectral_nd_report(m)
+        _assert_same_spectral_report(report, spectral_nd_report(independence_polynomial(m)))
+
+
+def test_corpus_analysis_builds_no_generating_polynomial(monkeypatch):
+    calls = []
+    original = independence_polynomial
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "matroidlc" and module is not None:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    config = CorpusConfig(
+        graphic_max_vertices=4, uniform_max_n=6, linear_count=20, explicit_count=20
+    )
+    instances = corpus_instances(config)
+    for iid, m in instances:
+        analyze_instance(iid, m, config)
+    assert calls == []
+    # the counter does see the polynomial route
+    m = instances[-1][1]
+    spectral_nd_report(m, (1,) * (m.ambient + 1))
+    assert len(calls) == 1
 
 
 # -- functional sampling -----------------------------------------------------------
