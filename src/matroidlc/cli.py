@@ -165,8 +165,9 @@ def _parse_matroid(obj: dict, bound: int):
     propagate unchanged; run() reports each by its type name.  An explicit
     family is held in full, so its n must meet the bound before it is built."""
     try:
-        n = int(obj["n"]) if obj.get("kind") == "explicit" else 0
-        if n > bound:
+        n = obj.get("n") if obj.get("kind") == "explicit" else 0
+        # matroid_from_json refuses an n that is not a JSON integer
+        if isinstance(n, int) and n > bound:
             raise EnumerationLimitExceeded(
                 f"ground set of size {n} exceeds enumeration bound {bound}"
             )

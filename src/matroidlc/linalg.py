@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError, DimensionMismatch
@@ -145,14 +145,9 @@ class NsdResult:
 def _primitive(v: Iterable[Fraction]) -> tuple:
     """Scale a rational vector to coprime integers (sign preserved)."""
     v = list(v)
-    lcm = 1
-    for x in v:
-        d = x.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    scale = lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)

@@ -468,7 +468,8 @@ class CLCCertificate:
     checks: Sequence
     failure: Optional[CertificateCheck]
     # buckets[s]: (zpart, non-loops, class pattern) of each independent J
-    # with |J| = s, sorted by zpart; set by certify_clc_matroid only
+    # with |J| = s, sorted by zpart, the z-part of alpha as a string of
+    # 0/1 digits; set by certify_clc_matroid only
     _buckets: Optional[list] = field(default=None, repr=False, compare=False)
 
     @property
@@ -638,11 +639,13 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
         return CLCCertificate(True, nv, n, (), None)
     family = m.independent_set_masks(limit)
     ext = _extensions(family).__getitem__
+    # the z-part of J as 0/1 digits, element 1 first: sorts like the tuple
+    zformat = f"0{nv - 1}b"
     buckets = [[] for _ in range(n - 1)]
     for jmask in family:
         size = jmask.bit_count()
         if size <= n - 2:
-            buckets[size].append((tuple((jmask >> i) & 1 for i in range(nv - 1)), jmask))
+            buckets[size].append((format(jmask, zformat)[::-1], jmask))
     # largest J first, in the order of their quadratic checks
     for bucket in reversed(buckets):
         bucket.sort()
@@ -659,13 +662,15 @@ def _matroid_checks(n: int, buckets: list, matrices: dict):
     """The checks of g_M in canonical order: by |alpha| = k + |J|, then
     k, then zpart, and at each quadratic alpha the indecomposable check
     before the quadratic one."""
+    # each J's z-part as a tuple, built once: it serves n - |J| checks
+    zparts = [[tuple(map(int, zpart)) for zpart, _, _ in bucket] for bucket in buckets]
     for t in range(n - 2):
         for k in range(t + 1):
-            for zpart, _, _ in buckets[t - k]:
+            for zpart in zparts[t - k]:
                 yield CertificateCheck((k,) + zpart, "indecomposable", True)
     for k in range(n - 1):
         nprime = k + 2
-        for zpart, nonloops, pattern in buckets[n - 2 - k]:
+        for zpart, (_, nonloops, pattern) in zip(zparts[n - 2 - k], buckets[n - 2 - k]):
             alpha = (k,) + zpart
             yield CertificateCheck(alpha, "indecomposable", True)
             if not nonloops:
@@ -690,7 +695,7 @@ def _matroid_checks_json(n: int, buckets: list):
     check passes and carries no witness, so its text is its alpha."""
     ind = '],"kind":"indecomposable","result":true}'
     quad = '],"kind":"quadratic-nsd","result":true}'
-    zparts = [[",".join(map(str, zpart)) for zpart, _, _ in bucket] for bucket in buckets]
+    zparts = [[",".join(zpart) for zpart, _, _ in bucket] for bucket in buckets]
     sep = ""
     for t in range(n - 1):
         quadratic = t == n - 2

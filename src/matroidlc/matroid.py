@@ -13,18 +13,19 @@ contractions stay aligned variable by variable.  ``ambient`` records the
 original label space.
 
 Subsets are handled internally as bitmasks (bit i-1 holds element i).
-Explicit families are stored as mask sets bucketed by popcount.  The
-structured representations (uniform, graphic, linear) answer
-independence queries directly from their data without materializing the
-family; enumeration materializes and caches it, guarded by a size bound.
+Each kind states its independence rule once, as one step from the state
+of an independent I to that of I + e (see ``Matroid``).  Independence
+tests, greedy rank, one-step extensions, contraction and the one
+enumeration DFS are derived from that step.  Enumeration caches the
+family as a frozenset of masks, guarded by a size bound; an explicit
+matroid holds its family from the start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -46,14 +47,7 @@ DEFAULT_ENUMERATION_LIMIT = 20
 
 def _mask_bits(mask: int) -> tuple:
     """Element labels present in a mask, ascending."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _set_of(mask: int) -> frozenset:
@@ -97,7 +91,11 @@ class ParallelPartition:
 
 
 class Matroid:
-    """Common behavior; subclasses supply ``_indep_impl`` on masks."""
+    """Common behavior, derived from the one-step rule of a subclass:
+    ``_start()`` is the state of the empty set, and ``_extend(state, e)``
+    is the state of I + e for the state of an independent I and an e
+    outside it, or None when I + e is dependent.  A step never changes
+    the set that ``state`` stands for."""
 
     kind = "abstract"
 
@@ -109,29 +107,47 @@ class Matroid:
 
     # -- representation-specific -------------------------------------
 
-    def _indep_impl(self, mask: int) -> bool:
+    def _start(self):
         raise NotImplementedError
 
-    def _enumerate_masks(self) -> Iterable[int]:
-        """Generic DFS over independent sets, ascending-label chains.
-
-        Downward closure guarantees every independent set is reachable
-        by inserting its elements in increasing order.
-        """
-        bits = [1 << (i - 1) for i in self.ground]
-        found = [0]
-        stack = [(0, 0)]
-        while stack:
-            mask, start = stack.pop()
-            for idx in range(start, len(bits)):
-                cand = mask | bits[idx]
-                if self._indep_impl(cand):
-                    found.append(cand)
-                    stack.append((cand, idx + 1))
-        return found
+    def _extend(self, state, e: int):
+        raise NotImplementedError
 
     def to_json(self) -> dict:
         raise NotImplementedError(f"{self.kind} matroids have no JSON form")
+
+    # -- derived from the one-step rule --------------------------------
+
+    def _state_of(self, mask: int):
+        """The state of the set ``mask``, or None when it is dependent."""
+        state = self._start()
+        for e in _mask_bits(mask):
+            state = self._extend(state, e)
+            if state is None:
+                break
+        return state
+
+    def _enumerate_masks(self) -> Iterable[int]:
+        """DFS over independent sets, ascending-label chains.
+
+        Downward closure guarantees every independent set is reachable
+        by inserting its elements in increasing order.  Each node keeps
+        its state, so each child costs one step.
+        """
+        extend = self._extend
+        steps = [(1 << (e - 1), e) for e in self.ground]
+        found = [0]
+        stack = [(0, 0, self._start())]
+        while stack:
+            mask, start, state = stack.pop()
+            for idx in range(start, len(steps)):
+                bit, e = steps[idx]
+                child = extend(state, e)
+                if child is not None:
+                    cand = mask | bit
+                    found.append(cand)
+                    stack.append((cand, idx + 1, child))
+        return found
 
     # -- shared queries ------------------------------------------------
 
@@ -155,7 +171,7 @@ class Matroid:
         fam = self._family_cache
         if fam is not None:
             return mask in fam
-        return self._indep_impl(mask)
+        return self._state_of(mask) is not None
 
     def is_independent(self, elements: Iterable[int]) -> bool:
         return self._is_independent_mask(self._subset_mask(elements))
@@ -165,15 +181,11 @@ class Matroid:
         return self._rank_of_mask(self._subset_mask(elements))
 
     def _rank_of_mask(self, mask: int) -> int:
-        acc = 0
-        rank = 0
-        m = mask
-        while m:
-            bit = m & -m
-            if self._is_independent_mask(acc | bit):
-                acc |= bit
-                rank += 1
-            m ^= bit
+        state, rank = self._start(), 0
+        for e in _mask_bits(mask):
+            child = self._extend(state, e)
+            if child is not None:
+                state, rank = child, rank + 1
         return rank
 
     @property
@@ -295,8 +307,12 @@ class ExplicitMatroid(Matroid):
         super().__init__((1 << n) - 1, n)
         self._family_cache = frozenset(family_masks)
 
-    def _indep_impl(self, mask: int) -> bool:
-        return mask in self._family_cache
+    def _start(self):
+        return 0
+
+    def _extend(self, mask, e):
+        mask |= 1 << (e - 1)
+        return mask if mask in self._family_cache else None
 
     def _enumerate_masks(self) -> Iterable[int]:
         return self._family_cache
@@ -315,19 +331,11 @@ class UniformMatroid(Matroid):
         super().__init__((1 << n) - 1, n)
         self.r = r
 
-    def _indep_impl(self, mask: int) -> bool:
-        return mask.bit_count() <= self.r
+    def _start(self):
+        return 0
 
-    def _enumerate_masks(self) -> Iterable[int]:
-        bits = [1 << (i - 1) for i in self.ground]
-        out = []
-        for k in range(self.r + 1):
-            for combo in combinations(bits, k):
-                m = 0
-                for b in combo:
-                    m |= b
-                out.append(m)
-        return out
+    def _extend(self, size, e):
+        return size + 1 if size < self.r else None
 
     def to_json(self) -> dict:
         return {"kind": "uniform", "r": self.r, "n": self.ambient}
@@ -347,38 +355,18 @@ class GraphicMatroid(Matroid):
         self.vertices = vertices
         self.edges = tuple((int(u), int(v)) for u, v in edges)
 
-    def _indep_impl(self, mask: int) -> bool:
-        parent = list(range(self.vertices + 1))
-        m = mask
-        while m:
-            bit = m & -m
-            u, v = self.edges[bit.bit_length() - 1]
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-            m ^= bit
-        return True
+    def _start(self):
+        return list(range(self.vertices + 1))
 
-    def _enumerate_masks(self) -> Iterable[int]:
-        # DFS carrying a private copy of the union-find forest per node.
-        edges = self.edges
-        labels = self.ground
-        found = [0]
-        stack = [(0, 0, list(range(self.vertices + 1)))]
-        while stack:
-            mask, start, parent = stack.pop()
-            for idx in range(start, len(labels)):
-                u, v = edges[labels[idx] - 1]
-                ru, rv = _find(parent, u), _find(parent, v)
-                if ru == rv:
-                    continue
-                child = parent.copy()
-                child[ru] = rv
-                cand = mask | (1 << (labels[idx] - 1))
-                found.append(cand)
-                stack.append((cand, idx + 1, child))
-        return found
+    def _extend(self, parent, e):
+        # path halving in _find moves pointers but keeps every root
+        u, v = self.edges[e - 1]
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru == rv:
+            return None
+        child = parent.copy()
+        child[ru] = rv
+        return child
 
     def to_json(self) -> dict:
         return {
@@ -392,48 +380,35 @@ class LinearMatroid(Matroid):
     """Columns of a matrix over GF(p) or over the rationals (modulus 0).
 
     Rational columns are stored with denominators cleared; scaling a
-    column never changes which subsets are independent.
+    column never changes which subsets are independent.  A state is a
+    pivot-normalized basis of the span, as (pivot, row) pairs.
     """
 
     kind = "linear"
 
     def __init__(self, columns: Sequence, modulus: int = 0):
-        cols = []
-        for col in columns:
-            cols.append(tuple(Fraction(x) for x in col))
+        cols = [tuple(Fraction(x) for x in col) for col in columns]
         height = len(cols[0]) if cols else 0
-        for col in cols:
-            if len(col) != height:
-                raise ValueError("columns must all have the same height")
+        if any(len(col) != height for col in cols):
+            raise ValueError("columns must all have the same height")
+        if modulus and any(x.denominator != 1 for col in cols for x in col):
+            raise ValueError("finite field columns must have integer entries")
         norm = []
         for col in cols:
-            if modulus:
-                ints = []
-                for x in col:
-                    if x.denominator != 1:
-                        raise ValueError("finite field columns must have integer entries")
-                    ints.append(x.numerator % modulus)
-                norm.append(tuple(ints))
-            else:
-                lcm = 1
-                for x in col:
-                    d = x.denominator
-                    g = gcd(lcm, d)
-                    lcm = lcm // g * d
-                norm.append(tuple(int(x * lcm) for x in col))
+            scale = lcm(*(x.denominator for x in col))
+            norm.append(tuple(int(x * scale) % modulus if modulus else int(x * scale) for x in col))
         super().__init__((1 << len(norm)) - 1, len(norm))
         self.modulus = modulus
         self.columns = tuple(norm)
         self.height = height
 
-    def _reduce(self, col, basis):
-        """Reduce a column against a pivot-normalized basis.
+    def _start(self):
+        return ()
 
-        Returns the normalized reduced vector plus its pivot, or None
-        when the column is in the span.
-        """
+    def _extend(self, basis, e):
         p = self.modulus
-        v = list(Fraction(x) for x in col) if not p else list(col)
+        col = self.columns[e - 1]
+        v = list(col) if p else [Fraction(x) for x in col]
         for pivot, bv in basis:
             c = v[pivot]
             if c:
@@ -450,34 +425,7 @@ class LinearMatroid(Matroid):
             v = [(x * inv) % p for x in v]
         else:
             v = [x / lead for x in v]
-        return pivot, tuple(v)
-
-    def _indep_impl(self, mask: int) -> bool:
-        basis = []
-        m = mask
-        while m:
-            bit = m & -m
-            entry = self._reduce(self.columns[bit.bit_length() - 1], basis)
-            if entry is None:
-                return False
-            basis.append(entry)
-            m ^= bit
-        return True
-
-    def _enumerate_masks(self) -> Iterable[int]:
-        labels = self.ground
-        found = [0]
-        stack = [(0, 0, ())]
-        while stack:
-            mask, start, basis = stack.pop()
-            for idx in range(start, len(labels)):
-                entry = self._reduce(self.columns[labels[idx] - 1], basis)
-                if entry is None:
-                    continue
-                cand = mask | (1 << (labels[idx] - 1))
-                found.append(cand)
-                stack.append((cand, idx + 1, basis + (entry,)))
-        return found
+        return basis + ((pivot, tuple(v)),)
 
     def to_json(self) -> dict:
         return {
@@ -488,7 +436,8 @@ class LinearMatroid(Matroid):
 
 
 class _Contraction(Matroid):
-    """View of base / S; queries delegate to the base matroid."""
+    """View of base / S: T is tested as S + T in the base, and steps take
+    the base's rule from the state of S."""
 
     kind = "contraction"
 
@@ -497,8 +446,18 @@ class _Contraction(Matroid):
         self.base = base
         self.smask = smask
 
-    def _indep_impl(self, mask: int) -> bool:
+    def _is_independent_mask(self, mask: int) -> bool:
         return self.base._is_independent_mask(mask | self.smask)
+
+    def _start(self):
+        state = self.base._state_of(self.smask)
+        if state is None:
+            # only an explicit family built without validation gets here
+            raise NotAMatroid(f"{sorted(_mask_bits(self.smask))} is independent, a subset is not")
+        return state
+
+    def _extend(self, state, e):
+        return self.base._extend(state, e)
 
     def _enumerate_masks(self) -> Iterable[int]:
         fam = self.base._family_cache
@@ -570,7 +529,7 @@ def from_independence_family(
     for s in family:
         mask = 0
         for e in s:
-            if not isinstance(e, int) or e < 1 or e > n:
+            if type(e) is not int or e < 1 or e > n:
                 raise ElementOutOfRange(f"element {e!r} outside 1..{n}")
             mask |= 1 << (e - 1)
         masks.add(mask)
@@ -670,6 +629,14 @@ def matroid_to_json(m: Matroid) -> dict:
     return m.to_json()
 
 
+def _json_int(x) -> int:
+    """x itself when it is a JSON integer; int() would read 2.9 as 2 and
+    true as 1, describing another object than the input."""
+    if type(x) is not int:
+        raise TypeError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
 def matroid_from_json(obj: dict) -> Matroid:
     """Parse the on-disk matroid description; explicit families are
     validated on load."""
@@ -677,13 +644,13 @@ def matroid_from_json(obj: dict) -> Matroid:
         raise ValueError("matroid description must be a JSON object")
     kind = obj.get("kind")
     if kind == "explicit":
-        return from_independence_family(int(obj["n"]), obj["sets"])
+        return from_independence_family(_json_int(obj["n"]), obj["sets"])
     if kind == "uniform":
-        return uniform(int(obj["r"]), int(obj["n"]))
+        return uniform(_json_int(obj["r"]), _json_int(obj["n"]))
     if kind == "graphic":
-        edges = [(int(u), int(v)) for u, v in obj["edges"]]
-        return graphic(int(obj["vertices"]), edges)
+        edges = [(_json_int(u), _json_int(v)) for u, v in obj["edges"]]
+        return graphic(_json_int(obj["vertices"]), edges)
     if kind == "linear":
         columns = [[Fraction(str(x)) for x in col] for col in obj["columns"]]
-        return linear(columns, int(obj["modulus"]))
+        return linear(columns, _json_int(obj["modulus"]))
     raise ValueError(f"unknown matroid kind {kind!r}")

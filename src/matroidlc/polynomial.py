@@ -466,10 +466,15 @@ def polynomial_to_json(f: SparsePolynomial) -> dict:
 def polynomial_from_json(obj: dict) -> SparsePolynomial:
     if not isinstance(obj, dict):
         raise ValueError("polynomial description must be a JSON object")
-    nvars = int(obj["nvars"])
+    # int() would read 2.9 as 2 and true as 1, describing another polynomial
+    nvars = obj["nvars"]
+    if type(nvars) is not int:
+        raise TypeError(f"nvars must be a JSON integer, got {nvars!r}")
     terms = {}
     for item in obj["terms"]:
-        exp = tuple(int(e) for e in item["exp"])
+        exp = tuple(item["exp"])
+        if not all(type(e) is int for e in exp):
+            raise TypeError(f"exponents must be JSON integers, got {item['exp']!r}")
         coeff = Fraction(str(item["coeff"]))
         terms[exp] = terms.get(exp, 0) + coeff
     return SparsePolynomial(nvars, terms)

@@ -145,6 +145,21 @@ def linear_independence_family(columns, modulus):
     return out
 
 
+def oracle_family(m):
+    """The independent sets of a freshly built matroid, by the brute oracle
+    of its kind, read from its JSON description without enumerating it."""
+    obj = m.to_json()
+    n = m.n_elements
+    if obj["kind"] == "uniform":
+        return {frozenset(s) for s in powerset(range(1, n + 1)) if len(s) <= obj["r"]}
+    if obj["kind"] == "graphic":
+        return forest_independence_family(n, [tuple(e) for e in obj["edges"]])
+    if obj["kind"] == "linear":
+        columns = [[Fraction(x) for x in col] for col in obj["columns"]]
+        return linear_independence_family(columns, obj["modulus"])
+    return {frozenset(s) for s in obj["sets"]}
+
+
 # -- example matroids ------------------------------------------------------
 
 

@@ -122,7 +122,7 @@ def test_validate_is_exact_beyond_sixteen_elements(write_json, capsys):
     assert payload["error"]["type"] == "AxiomViolation"
 
 
-@pytest.mark.parametrize("label", [1.7, "1"])
+@pytest.mark.parametrize("label", [1.7, "1", True])
 def test_validate_parses_labels_like_other_commands(write_json, capsys, label):
     path = write_json("m.json", {"kind": "explicit", "n": 2, "sets": [[], [label], [2]]})
     results = []
@@ -555,6 +555,39 @@ def test_enumeration_bound_hard_cap(write_json, capsys):
     )
     assert code == 2
     assert payload["error"]["type"] == "UsageError"
+
+
+_MONOMIAL = {"exp": [1, 1], "coeff": "1"}
+
+
+@pytest.mark.parametrize(
+    "flag, obj",
+    [
+        ("--input", {"kind": "uniform", "r": 2.9, "n": 3}),
+        ("--input", {"kind": "uniform", "r": True, "n": 3}),
+        ("--input", {"kind": "uniform", "r": 2, "n": 3.0}),
+        ("--input", {"kind": "graphic", "vertices": 3, "edges": [[1.5, 2], [2, 3]]}),
+        ("--input", {"kind": "graphic", "vertices": 3, "edges": [[1, True]]}),
+        ("--input", {"kind": "graphic", "vertices": 3.0, "edges": [[1, 2]]}),
+        ("--input", {"kind": "explicit", "n": 2.7, "sets": [[], [1], [2]]}),
+        ("--input", {"kind": "explicit", "n": True, "sets": [[], [1]]}),
+        ("--input", {"kind": "linear", "modulus": 2.0, "columns": [[1], [1]]}),
+        ("--input", {"kind": "linear", "modulus": False, "columns": [[1], [1]]}),
+        ("--poly", {"nvars": 2, "terms": [{"exp": [True, 1], "coeff": "1"}]}),
+        ("--poly", {"nvars": 2, "terms": [{"exp": [1.0, 1], "coeff": "1"}]}),
+        ("--poly", {"nvars": 2.9, "terms": [_MONOMIAL]}),
+        ("--poly", {"nvars": True, "terms": [{"exp": [1], "coeff": "1"}]}),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
+)
+def test_non_integer_fields_are_schema_errors(write_json, capsys, flag, obj):
+    # int() would read 2.9 as 2 and true as 1 and certify another object
+    path = write_json("in.json", obj)
+    commands = ["certify-clc", "validate"] if flag == "--input" else ["certify-clc"]
+    for command in commands:
+        code, payload, err = invoke(capsys, [command, flag, path])
+        assert (code, payload["error"]["type"]) == (2, "SchemaError")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

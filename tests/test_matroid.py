@@ -14,6 +14,7 @@ from helpers import (
     k3,
     k4,
     linear_independence_family,
+    oracle_family,
     parallel_pair_plus_free,
     powerset,
     single_loop,
@@ -179,6 +180,64 @@ def test_independence_and_rank_match_bruteforce(m):
     assert len(family) == len(sets)
 
 
+def _mask(elements):
+    return sum(1 << (e - 1) for e in elements)
+
+
+def _assert_contraction_extensions(c, j, sets):
+    for a in (s - j for s in sets if j <= s):
+        free = [x for x in c.ground if x not in a and j | a | {x} in sets]
+        assert c._extensions_by_test(_mask(a)) == _mask(free)
+
+
+# fresh instances per test: queries on them take the one-step rule, not
+# the cached family (an explicit matroid holds its family from the start)
+FRESH = pytest.mark.parametrize("index", range(len(zoo())), ids=[repr(m) for m in zoo()])
+
+
+@FRESH
+def test_unenumerated_queries_match_bruteforce(index):
+    m = zoo()[index]
+    sets = oracle_family(m)
+    for subset in powerset(m.ground):
+        subset = frozenset(subset)
+        assert m.is_independent(subset) == (subset in sets)
+        assert m.rank_of(subset) == brute_rank(sets, subset)
+    assert m.rank == brute_rank(sets, m.ground)
+    for a in sets:
+        free = [x for x in m.ground if x not in a and a | {x} in sets]
+        assert m._extensions_by_test(_mask(a)) == _mask(free)
+    assert m._family_cache is None or m.kind == "explicit"
+
+
+@FRESH
+def test_unenumerated_contractions_match_bruteforce(index):
+    base = zoo()[index]
+    sets = oracle_family(base)
+    for j in sets:
+        c = base.contract(j)
+        rest = [x for x in base.ground if x not in j]
+        assert list(c.ground) == rest
+        for t in powerset(rest):
+            t = frozenset(t)
+            assert c.is_independent(t) == (j | t in sets)
+            assert c.rank_of(t) == brute_rank(sets, j | t) - len(j)
+        assert c.rank == base.rank - len(j)
+        _assert_contraction_extensions(c, j, sets)
+        csets = {frozenset(s) for s in c.independent_sets()}
+        assert csets == {s - j for s in sets if j <= s}
+        if j:
+            first = min(j)
+            twice = base.contract([first]).contract(j - {first})
+            assert {frozenset(s) for s in twice.independent_sets()} == csets
+            assert twice.rank == c.rank
+    assert base._family_cache is None or base.kind == "explicit"
+    # once the base is enumerated, contractions read its family instead
+    base.independent_set_masks()
+    for j in sets:
+        _assert_contraction_extensions(base.contract(j), j, sets)
+
+
 def test_graphic_family_matches_cycle_oracle():
     edges = [(1, 2), (1, 3), (2, 3), (2, 3), (1, 1)]
     m = graphic(3, edges)
@@ -240,6 +299,17 @@ def test_partition_rejects_non_transitive_parallelism():
     m = from_independence_family(3, [[], [1], [2], [3], [1, 3]], validate=False)
     with pytest.raises(NotAMatroid):
         m.parallel_partition()
+
+
+def test_contraction_of_unvalidated_family_tests_sets_in_the_base():
+    # {1, 2} and {1, 2, 3} are in the family but {1} and {2} are not
+    m = from_independence_family(3, [[], [1, 2], [1, 2, 3]], validate=False)
+    c = m.contract([1, 2])
+    assert c.is_independent([]) and c.is_independent([3])
+    assert c._extensions_by_test(0) == 0b100
+    assert m._extensions_by_test(0b001) == 0b010  # {1} itself is dependent
+    with pytest.raises(NotAMatroid):
+        c.rank_of([3])
 
 
 @pytest.mark.parametrize("m", zoo() + [sparse_contraction()], ids=lambda m: repr(m))
