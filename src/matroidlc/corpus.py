@@ -135,7 +135,7 @@ def _random_explicit(rng: random.Random, config: CorpusConfig) -> Matroid:
     labels = sorted(base.ground)
     remap = {lab: i + 1 for i, lab in enumerate(labels)}
     family = [frozenset(remap[e] for e in s) for s in base.independent_sets()]
-    return from_independence_family(len(labels), family, validate=True)
+    return from_independence_family(len(labels), family)
 
 
 # -- sweep -------------------------------------------------------------------

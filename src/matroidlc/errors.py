@@ -50,10 +50,6 @@ class NotIndependent(MatroidLCError):
     """Contraction requested by a dependent set."""
 
 
-class NotAMatroid(MatroidLCError):
-    """A structural consistency check failed on supposedly valid input."""
-
-
 class EnumerationLimitExceeded(MatroidLCError):
     """Ground set too large for exhaustive subset enumeration."""
 

@@ -67,7 +67,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -459,7 +459,9 @@ class CLCCertificate:
     certificate builds its checks on demand: ``checks`` and
     ``quadratic_checks()`` know their lengths by closed form, build the
     checks afresh on each iteration and once for indexing, and the
-    certificate's JSON text is written from the contractions alone.
+    certificate's JSON text is written from the sorted z-parts alone.
+    The parallel classes of each contraction are read only when check
+    objects are built.
     """
 
     accepted: bool
@@ -467,10 +469,12 @@ class CLCCertificate:
     degree: int
     checks: Sequence
     failure: Optional[CertificateCheck]
-    # buckets[s]: (zpart, non-loops, class pattern) of each independent J
-    # with |J| = s, sorted by zpart, the z-part of alpha as a string of
-    # 0/1 digits; set by certify_clc_matroid only
+    # buckets[s]: (zpart, J) for each independent mask J with |J| = s,
+    # sorted by zpart, the z-part of alpha as a string of 0/1 digits; set
+    # by certify_clc_matroid only, with _quadratics, which returns a fresh
+    # iterator over the quadratic checks
     _buckets: Optional[list] = field(default=None, repr=False, compare=False)
+    _quadratics: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     @property
     def verdict(self) -> str:
@@ -479,10 +483,7 @@ class CLCCertificate:
     def quadratic_checks(self) -> Sequence:
         if self._buckets is None:
             return tuple(c for c in self.checks if c.kind == "quadratic-nsd")
-        return _LazyChecks(
-            sum(map(len, self._buckets)),
-            lambda: (c for c in self.checks if c.kind == "quadratic-nsd"),
-        )
+        return _LazyChecks(sum(map(len, self._buckets)), self._quadratics)
 
     def _checks_json(self):
         """The JSON text of ``checks`` without its brackets, in pieces
@@ -621,13 +622,10 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
     because c <= n' always holds (see the module docstring), so every
     quadratic check passes by this closed form.  Only the contractions
     are kept: the enumerated family bucketed by |J|, each bucket sorted
-    by zpart, with one class pass per J reading the parallel classes of
-    M/J off the one-step extension masks of the family, O(n) lookups
-    per J.  The class pass runs for every J before this returns, so a
-    family that is not a matroid raises NotAMatroid here.  The checks
-    themselves are built on demand, in canonical order, each J with
-    |J| <= n - 2 giving n - |J| of them; element matrices are shared
-    between contractions with the same n' and class pattern.
+    by zpart.  That is all the JSON text needs.  The checks themselves
+    are built on demand, in canonical order, each J with |J| <= n - 2
+    giving n - |J| of them; see _matroid_quadratic_checks for the
+    parallel classes.
 
     Ground sets with fewer than 2 elements are accepted with an empty
     check list: the polynomial has degree below 2 and all its
@@ -638,7 +636,6 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
     if n < 2:
         return CLCCertificate(True, nv, n, (), None)
     family = m.independent_set_masks(limit)
-    ext = _extensions(family).__getitem__
     # the z-part of J as 0/1 digits, element 1 first: sorts like the tuple
     zformat = f"0{nv - 1}b"
     buckets = [[] for _ in range(n - 1)]
@@ -646,33 +643,35 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
         size = jmask.bit_count()
         if size <= n - 2:
             buckets[size].append((format(jmask, zformat)[::-1], jmask))
-    # largest J first, in the order of their quadratic checks
-    for bucket in reversed(buckets):
+    for bucket in buckets:
         bucket.sort()
-        bucket[:] = [(zpart,) + m._classes_after(jmask, ext) for zpart, jmask in bucket]
-    matrices = {}
+
+    def quadratics():
+        return _matroid_quadratic_checks(m, family, buckets)
+
     checks = _LazyChecks(
         sum((n - size) * len(bucket) for size, bucket in enumerate(buckets)),
-        lambda: _matroid_checks(n, buckets, matrices),
+        lambda: _matroid_checks(n, buckets, quadratics()),
     )
-    return CLCCertificate(True, nv, n, checks, None, _buckets=buckets)
+    return CLCCertificate(True, nv, n, checks, None, _buckets=buckets, _quadratics=quadratics)
 
 
-def _matroid_checks(n: int, buckets: list, matrices: dict):
-    """The checks of g_M in canonical order: by |alpha| = k + |J|, then
-    k, then zpart, and at each quadratic alpha the indecomposable check
-    before the quadratic one."""
-    # each J's z-part as a tuple, built once: it serves n - |J| checks
-    zparts = [[tuple(map(int, zpart)) for zpart, _, _ in bucket] for bucket in buckets]
-    for t in range(n - 2):
-        for k in range(t + 1):
-            for zpart in zparts[t - k]:
-                yield CertificateCheck((k,) + zpart, "indecomposable", True)
-    for k in range(n - 1):
+def _matroid_quadratic_checks(m: Matroid, family: frozenset, buckets: list):
+    """The quadratic checks of g_M in canonical order: by k, then zpart.
+
+    One class pass per J reads the parallel classes of M/J off the
+    one-step extension masks of the family, O(n) lookups per J.  Element
+    matrices are shared between contractions with the same n' and class
+    pattern.
+    """
+    ext = _extensions(family).__getitem__
+    matrices = {}
+    # k counts the y-derivatives, so M/J has n' = n - |J| = k + 2 elements
+    for k, bucket in enumerate(reversed(buckets)):
         nprime = k + 2
-        for zpart, (_, nonloops, pattern) in zip(zparts[n - 2 - k], buckets[n - 2 - k]):
-            alpha = (k,) + zpart
-            yield CertificateCheck(alpha, "indecomposable", True)
+        for zpart, jmask in bucket:
+            alpha = (k,) + tuple(map(int, zpart))
+            nonloops, pattern = m._classes_after(jmask, ext)
             if not nonloops:
                 yield CertificateCheck(alpha, "quadratic-nsd", True)
                 continue
@@ -685,6 +684,21 @@ def _matroid_checks(n: int, buckets: list, matrices: dict):
             )
 
 
+def _matroid_checks(n: int, buckets: list, quadratics):
+    """The checks of g_M in canonical order: by |alpha| = k + |J|, then
+    k, then zpart, and at each quadratic alpha the indecomposable check
+    before the quadratic one."""
+    # each J's z-part as a tuple, built once: it serves n - |J| - 2 checks
+    zparts = [[tuple(map(int, zpart)) for zpart, _ in bucket] for bucket in buckets[:-1]]
+    for t in range(n - 2):
+        for k in range(t + 1):
+            for zpart in zparts[t - k]:
+                yield CertificateCheck((k,) + zpart, "indecomposable", True)
+    for quad in quadratics:
+        yield CertificateCheck(quad.alpha, "indecomposable", True)
+        yield quad
+
+
 # contractions per piece of certificate text, about 300 KB
 _JSON_BATCH = 4096
 
@@ -695,7 +709,7 @@ def _matroid_checks_json(n: int, buckets: list):
     check passes and carries no witness, so its text is its alpha."""
     ind = '],"kind":"indecomposable","result":true}'
     quad = '],"kind":"quadratic-nsd","result":true}'
-    zparts = [[",".join(zpart) for zpart, _, _ in bucket] for bucket in buckets]
+    zparts = [[",".join(zpart) for zpart, _ in bucket] for bucket in buckets]
     sep = ""
     for t in range(n - 1):
         quadratic = t == n - 2

@@ -18,7 +18,8 @@ of an independent I to that of I + e (see ``Matroid``).  Independence
 tests, greedy rank, one-step extensions, contraction and the one
 enumeration DFS are derived from that step.  Enumeration caches the
 family as a frozenset of masks, guarded by a size bound; an explicit
-matroid holds its family from the start.
+matroid holds its family from the start, and checks the axioms on it
+when it is constructed, so every ``Matroid`` is a matroid.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .errors import (
     InvalidRank,
     InvalidVertexIndex,
     NonPrimeModulus,
-    NotAMatroid,
     NotIndependent,
 )
 
@@ -60,16 +60,6 @@ def _find(parent: list, x: int) -> int:
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
-
-
-def _not_transitive(a: int, b: int, c: int) -> None:
-    """Raise for single-bit masks a, b, c with a parallel to b and to c
-    although b and c are not parallel."""
-    a, b, c = (x.bit_length() for x in (a, b, c))
-    raise NotAMatroid(
-        f"parallelism not transitive: {a} is parallel to {b} and to {c}, "
-        f"but {b} and {c} are not parallel"
-    )
 
 
 @dataclass(frozen=True)
@@ -162,7 +152,7 @@ class Matroid:
     def _subset_mask(self, elements: Iterable[int]) -> int:
         mask = 0
         for e in elements:
-            if not isinstance(e, int) or e < 1 or not (self._ground_mask >> (e - 1)) & 1:
+            if type(e) is not int or e < 1 or not (self._ground_mask >> (e - 1)) & 1:
                 raise ElementOutOfRange(f"element {e!r} not in ground set {self.ground}")
             mask |= 1 << (e - 1)
         return mask
@@ -259,19 +249,17 @@ class Matroid:
         family is at hand, independence tests otherwise.  The non-loops
         of M/J are ext(J), and the earlier non-loops r parallel to a
         non-loop e (J + e + r dependent) are ext(J) - ext(J + e) below e.
-        e opens a new class when there are none and joins the class
-        whose members are exactly these otherwise.  Classes are numbered
-        by their smallest member.  Parallelism must be transitive on a
-        real matroid, so any other set raises NotAMatroid with a witness
-        triple; the check is kept because explicit families can be
-        constructed with validation switched off.
+        e opens a new class when there are none.  Otherwise, parallelism
+        being transitive in a matroid, they are the earlier members of
+        one class, and e joins the class of the smallest.  Classes are
+        numbered by their smallest member.
         """
         if ext is None:
             ext = self._extensions_by_test
         free = ext(jmask)
         labels = []
-        members = []
         class_of = {}
+        classes = 0
         rest = free
         while rest:
             bit = rest & -rest
@@ -279,19 +267,10 @@ class Matroid:
             labels.append(bit.bit_length())
             hit = free & ~ext(jmask | bit) & (bit - 1)
             if hit:
-                low = hit & -hit
-                c = class_of[low]
-                if hit != members[c]:
-                    stray = hit & ~members[c]
-                    if stray:
-                        _not_transitive(bit, low, stray & -stray)
-                    miss = members[c] & ~hit
-                    _not_transitive(low, bit, miss & -miss)
-                members[c] |= bit
+                class_of[bit] = class_of[hit & -hit]
             else:
-                c = len(members)
-                members.append(bit)
-            class_of[bit] = c
+                class_of[bit] = classes
+                classes += 1
         return tuple(labels), tuple(class_of.values())
 
     def __repr__(self) -> str:
@@ -299,13 +278,20 @@ class Matroid:
 
 
 class ExplicitMatroid(Matroid):
-    """Matroid given by its full independence family."""
+    """Matroid given by its full independence family, as masks over
+    elements 1..n; the family is checked against the axioms here."""
 
     kind = "explicit"
 
-    def __init__(self, n: int, family_masks: frozenset):
+    def __init__(self, n: int, family_masks: Iterable[int]):
+        masks = frozenset(family_masks)
+        if not masks:
+            raise EmptyFamily("independence family has no sets")
+        if max(masks) >> n:
+            raise ElementOutOfRange(f"family has an element outside 1..{n}")
+        _validate_family(masks)
         super().__init__((1 << n) - 1, n)
-        self._family_cache = frozenset(family_masks)
+        self._family_cache = masks
 
     def _start(self):
         return 0
@@ -450,11 +436,7 @@ class _Contraction(Matroid):
         return self.base._is_independent_mask(mask | self.smask)
 
     def _start(self):
-        state = self.base._state_of(self.smask)
-        if state is None:
-            # only an explicit family built without validation gets here
-            raise NotAMatroid(f"{sorted(_mask_bits(self.smask))} is independent, a subset is not")
-        return state
+        return self.base._state_of(self.smask)
 
     def _extend(self, state, e):
         return self.base._extend(state, e)
@@ -500,29 +482,9 @@ def _is_prime(p: int) -> bool:
 # -- constructors ------------------------------------------------------
 
 
-def from_independence_family(
-    n: int,
-    family: Iterable[Iterable[int]],
-    validate: bool = True,
-) -> ExplicitMatroid:
-    """Build an explicit matroid, checking the axioms by default.
-
-    Downward closure is checked one element removal at a time, which
-    reaches every subset by induction.  Exchange is checked exactly, at
-    every ground size, by the local rule: for every independent A and
-    distinct a, b, c outside A with A + a and A + b + c independent,
-    A + a + b or A + a + c is independent.
-
-    The local rule implies exchange for every pair.  With downward
-    closure it suffices to treat |T| = |S| + 1, since any (|S|+1)-subset
-    of a larger T is independent and cannot lie inside S.  Induct on
-    k = |S - T|; k <= 1 is the rule itself (or trivial).  For k >= 2 take
-    x in S - T.  By induction S - x augments from a size-|S| subset of
-    T, by some y, and S - x + y in turn augments from T, by some z.  The
-    rule at A = S - x with a = x, b = y, c = z then puts S + y or S + z
-    in the family.  A violation is reported as the exchange pair
-    (A + a, A + b + c), which no element of {b, c} augments.
-    """
+def from_independence_family(n: int, family: Iterable[Iterable[int]]) -> ExplicitMatroid:
+    """Build an explicit matroid from sets of labels in 1..n; the
+    ``ExplicitMatroid`` constructor checks the axioms."""
     if n < 0:
         raise ValueError("ground size must be nonnegative")
     masks = set()
@@ -533,11 +495,7 @@ def from_independence_family(
                 raise ElementOutOfRange(f"element {e!r} outside 1..{n}")
             mask |= 1 << (e - 1)
         masks.add(mask)
-    if not masks:
-        raise EmptyFamily("independence family has no sets")
-    if validate:
-        _validate_family(masks)
-    return ExplicitMatroid(n, frozenset(masks))
+    return ExplicitMatroid(n, masks)
 
 
 def _extensions(masks) -> dict:
@@ -556,9 +514,25 @@ def _extensions(masks) -> dict:
 
 
 def _validate_family(masks) -> None:
-    """Raise AxiomViolation unless a nonempty mask family is a matroid, by
-    downward closure and the local exchange rule, in O(|F| n^2) mask
-    operations."""
+    """Raise AxiomViolation unless a nonempty mask family is a matroid, in
+    O(|F| n^2) mask operations.
+
+    Downward closure is checked one element removal at a time, which
+    reaches every subset by induction.  Exchange is checked exactly, at
+    every ground size, by the local rule: for every independent A and
+    distinct a, b, c outside A with A + a and A + b + c independent,
+    A + a + b or A + a + c is independent.
+
+    The local rule implies exchange for every pair.  With downward
+    closure it suffices to treat |T| = |S| + 1, since any (|S|+1)-subset
+    of a larger T is independent and cannot lie inside S.  Induct on
+    k = |S - T|; k <= 1 is the rule itself (or trivial).  For k >= 2 take
+    x in S - T.  By induction S - x augments from a size-|S| subset of
+    T, by some y, and S - x + y in turn augments from T, by some z.  The
+    rule at A = S - x with a = x, b = y, c = z then puts S + y or S + z
+    in the family.  A violation is reported as the exchange pair
+    (A + a, A + b + c), which no element of {b, c} augments.
+    """
     addable = _extensions(masks)
     # closed exactly when every one-element removal was found in the family
     if sum(map(int.bit_count, addable.values())) != sum(map(int.bit_count, masks)):
@@ -599,7 +573,7 @@ def _validate_family(masks) -> None:
 
 
 def uniform(r: int, n: int) -> UniformMatroid:
-    if not isinstance(r, int) or not isinstance(n, int) or n < 0 or not 0 <= r <= n:
+    if type(r) is not int or type(n) is not int or n < 0 or not 0 <= r <= n:
         raise InvalidRank(f"need 0 <= r <= n, got r={r}, n={n}")
     return UniformMatroid(r, n)
 
@@ -609,7 +583,7 @@ def graphic(vertices: int, edges: Sequence) -> GraphicMatroid:
         raise InvalidVertexIndex("vertex count must be nonnegative")
     for u, v in edges:
         for x in (u, v):
-            if not isinstance(x, int) or x < 1 or x > vertices:
+            if type(x) is not int or x < 1 or x > vertices:
                 raise InvalidVertexIndex(f"endpoint {x!r} outside 1..{vertices}")
     return GraphicMatroid(vertices, edges)
 

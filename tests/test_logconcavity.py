@@ -3,7 +3,6 @@ reduction-to-quadratics certifier, and its matroid specialization."""
 
 import math
 import random
-import re
 import sys
 from fractions import Fraction
 
@@ -18,8 +17,8 @@ from matroidlc import (
     AllLoops,
     CorpusConfig,
     DegreeTooLow,
+    Matroid,
     NegativeCoefficient,
-    NotAMatroid,
     NotHomogeneous,
     SparsePolynomial,
     SymmetricMatrix,
@@ -29,7 +28,6 @@ from matroidlc import (
     certify_clc_matroid,
     certify_clc_quadratic_criterion,
     corpus_instances,
-    from_independence_family,
     graphic,
     independence_polynomial,
     is_indecomposable,
@@ -420,33 +418,6 @@ def test_class_matrix_factors_through_class_core(m):
 # -- matroid certifier ----------------------------------------------------------
 
 
-def test_matroid_certificate_rejects_non_transitive_parallelism():
-    m = from_independence_family(3, [[], [1], [2], [3], [1, 3]], validate=False)
-    with pytest.raises(NotAMatroid):
-        certify_clc_matroid(m)
-
-
-@pytest.mark.parametrize(
-    "sets",
-    [
-        # 2 is parallel to 1 and 3: hit {2} is a strict subset of class {1, 2}
-        [[], [1], [2], [3], [1, 3]],
-        # 3 is parallel to 1 and 2: hit {1, 2} spans two classes
-        [[], [1], [2], [3], [1, 2]],
-    ],
-)
-def test_non_transitive_parallelism_names_a_real_witness(sets):
-    m = from_independence_family(3, sets, validate=False)
-    for attempt in (m.parallel_partition, lambda: certify_clc_matroid(m)):
-        with pytest.raises(NotAMatroid) as info:
-            attempt()
-        a, b, c, b2, c2 = (int(x) for x in re.findall(r"\d+", str(info.value)))
-        assert (b2, c2) == (b, c) and len({a, b, c}) == 3
-        assert not m.is_independent([a, b]) and not m.is_independent([a, c])
-        assert all(m.is_independent([e]) for e in (a, b, c))
-        assert m.is_independent([b, c])
-
-
 def _brute_quadratic(m, j):
     """Expected (witness_labels, matrix rows) of the quadratic check at J,
     from pair independence alone; None when M/J has loops only."""
@@ -489,13 +460,23 @@ def test_matroid_certificate_lengths_build_no_checks(monkeypatch):
     monkeypatch.setattr(
         logconcavity, "CertificateCheck", lambda *a, **kw: built.append(1) or real(*a, **kw)
     )
+    passes = []
+    real_pass = Matroid._classes_after
+    monkeypatch.setattr(
+        Matroid, "_classes_after", lambda *a, **kw: passes.append(1) or real_pass(*a, **kw)
+    )
     m = uniform(6, 12)
     cert = certify_clc_matroid(m)
     family = [j for j in m.independent_sets() if len(j) <= 10]
     assert len(cert.checks) == sum(12 - len(j) for j in family)
     assert len(cert.quadratic_checks()) == len(family)
     assert cert.to_json(include_checks=False)["num_checks"] == len(cert.checks)
-    assert built == []
+    assert "".join(cert._checks_json())
+    assert built == [] and passes == []
+    # the quadratic checks are built without the indecomposable ones, with
+    # one class pass each
+    assert len(list(cert.quadratic_checks())) == len(built) == len(passes) == len(family)
+    built.clear()
     # iterating builds the checks afresh; indexing builds them once and
     # later iterations reuse them
     first = list(cert.checks)

@@ -26,10 +26,10 @@ from matroidlc import (
     ElementOutOfRange,
     EmptyFamily,
     EnumerationLimitExceeded,
+    ExplicitMatroid,
     InvalidRank,
     InvalidVertexIndex,
     NonPrimeModulus,
-    NotAMatroid,
     NotIndependent,
     from_independence_family,
     graphic,
@@ -125,6 +125,8 @@ def test_exchange_violation():
 def test_empty_family():
     with pytest.raises(EmptyFamily):
         from_independence_family(2, [])
+    with pytest.raises(EmptyFamily):
+        ExplicitMatroid(2, [])
 
 
 def test_constructor_input_errors():
@@ -132,8 +134,12 @@ def test_constructor_input_errors():
         uniform(3, 2)
     with pytest.raises(InvalidRank):
         uniform(-1, 2)
+    with pytest.raises(InvalidRank):
+        uniform(True, 2)
     with pytest.raises(InvalidVertexIndex):
         graphic(2, [(1, 3)])
+    with pytest.raises(InvalidVertexIndex):
+        graphic(2, [(True, 2)])
     with pytest.raises(NonPrimeModulus):
         linear([[1], [0]], 4)
 
@@ -162,6 +168,10 @@ def test_element_out_of_range():
         uniform(2, 3).is_independent([4])
     with pytest.raises(ElementOutOfRange):
         uniform(2, 3).rank_of([0])
+    with pytest.raises(ElementOutOfRange):
+        uniform(2, 4).is_independent([True, 2])
+    with pytest.raises(ElementOutOfRange):
+        ExplicitMatroid(2, [0, 0b100])
 
 
 # -- brute-force cross-validation ------------------------------------------
@@ -261,7 +271,7 @@ def test_constructors_pass_explicit_validation(m):
     labels = sorted(m.ground)
     remap = {lab: i + 1 for i, lab in enumerate(labels)}
     family = [{remap[e] for e in s} for s in m.independent_sets()]
-    rebuilt = from_independence_family(len(labels), family, validate=True)
+    rebuilt = from_independence_family(len(labels), family)
     assert sum(rebuilt.count_independent_by_size()) == sum(m.count_independent_by_size())
 
 
@@ -293,23 +303,35 @@ def test_pair_ranks_define_classes(m):
                 assert (m.rank_of([a, b]) == 1) == same
 
 
-def test_partition_rejects_non_transitive_parallelism():
-    # {1,2} and {2,3} dependent but {1,3} independent: 2 is parallel to
-    # both 1 and 3, which are not parallel to each other
-    m = from_independence_family(3, [[], [1], [2], [3], [1, 3]], validate=False)
-    with pytest.raises(NotAMatroid):
-        m.parallel_partition()
-
-
-def test_contraction_of_unvalidated_family_tests_sets_in_the_base():
-    # {1, 2} and {1, 2, 3} are in the family but {1} and {2} are not
-    m = from_independence_family(3, [[], [1, 2], [1, 2, 3]], validate=False)
-    c = m.contract([1, 2])
-    assert c.is_independent([]) and c.is_independent([3])
-    assert c._extensions_by_test(0) == 0b100
-    assert m._extensions_by_test(0b001) == 0b010  # {1} itself is dependent
-    with pytest.raises(NotAMatroid):
-        c.rank_of([3])
+@pytest.mark.parametrize(
+    "sets, axiom",
+    [
+        # 2 would be parallel to 1 and to 3, which are not parallel
+        ([[], [1], [2], [3], [1, 3]], "exchange"),
+        # 3 would be parallel to 1 and to 2, which are not parallel
+        ([[], [1], [2], [3], [1, 2]], "exchange"),
+        # {1, 2} and {1, 2, 3} are in the family but {1} and {2} are not
+        ([[], [1, 2], [1, 2, 3]], "downward-closure"),
+    ],
+)
+@pytest.mark.parametrize("labels", [True, False], ids=["labels", "masks"])
+def test_non_matroid_families_are_refused_at_construction(sets, axiom, labels):
+    # parallelism is transitive and contractions start from independent
+    # sets only because no constructor returns such a family
+    family = {frozenset(s) for s in sets}
+    with pytest.raises(AxiomViolation) as exc:
+        if labels:
+            from_independence_family(3, sets)
+        else:
+            ExplicitMatroid(3, [sum(1 << (e - 1) for e in s) for s in sets])
+    assert exc.value.axiom == axiom
+    smaller, larger = exc.value.witness
+    assert larger in family
+    if axiom == "exchange":
+        assert smaller in family and len(larger) == len(smaller) + 1
+        assert all(smaller | {x} not in family for x in larger - smaller)
+    else:
+        assert smaller < larger and smaller not in family
 
 
 @pytest.mark.parametrize("m", zoo() + [sparse_contraction()], ids=lambda m: repr(m))
@@ -434,14 +456,14 @@ def test_validation_agrees_with_bruteforce(case):
     n, family = case
     verdict = brute_axiom_failure(family)
     if verdict is None:
-        m = from_independence_family(n, family, validate=True)
+        m = from_independence_family(n, family)
         sets = {frozenset(s) for s in m.independent_sets()}
         assert sets == family
         for subset in powerset(range(1, n + 1)):
             assert m.rank_of(subset) == brute_rank(family, subset)
     else:
         with pytest.raises(AxiomViolation) as exc:
-            from_independence_family(n, family, validate=True)
+            from_independence_family(n, family)
         assert exc.value.axiom == verdict
         if verdict == "exchange":
             smaller, larger = exc.value.witness
