@@ -17,11 +17,12 @@ one-line human summary goes to standard error.  JSON is compact with
 sorted keys, so identical config and seed give byte-identical output.
 Exit codes: 0 every verdict positive, 1 a verdict failed (the JSON
 carries a re-verified witness), 2 usage or input error (the JSON is a
-machine-readable error object).  The enumeration bound is capped at 24
-elements; the default of 20 can be overridden per run with
---enumeration-bound or the MATROIDLC_ENUMERATION_BOUND variable, and
-an explicit matroid whose n exceeds it is refused by every command.  A
---poly input has at most MAX_POLY_NVARS = 25 variables.
+machine-readable error object).  The enumeration bound, 20 elements by
+default and at most 24, is set per run with --enumeration-bound or the
+MATROIDLC_ENUMERATION_BOUND variable and applied once, as a matroid is
+loaded: an explicit n above it is refused before the family is built,
+and every command but validate enumerates the family there.  A --poly
+input has at most MAX_POLY_NVARS = 25 variables.
 """
 
 from __future__ import annotations
@@ -36,13 +37,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .corpus import SCHEMA_VERSION, CorpusConfig, run_sweep
-from .errors import (
-    AxiomViolation,
-    DimensionMismatch,
-    EmptyFamily,
-    EnumerationLimitExceeded,
-    MatroidLCError,
-)
+from .errors import AxiomViolation, EmptyFamily, MatroidLCError
 from .logconcavity import (
     certify_clc_matroid,
     certify_clc_quadratic_criterion,
@@ -53,6 +48,7 @@ from .mason import mason_report
 from .matroid import (
     DEFAULT_ENUMERATION_LIMIT,
     _validate_family,
+    check_enumeration_bound,
     matroid_from_json,
 )
 from .polynomial import (
@@ -147,7 +143,7 @@ def _load_json(path: str) -> dict:
             obj = json.load(fh)
     except OSError as exc:
         raise _InputError("FileError", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, encoding, size or depth
         raise _InputError("JSONError", f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise _InputError("SchemaError", f"{path}: top-level JSON object expected")
@@ -157,7 +153,9 @@ def _load_json(path: str) -> dict:
 def _load_matroid(config: RunConfig):
     if not config.input_path:
         raise _InputError("UsageError", "this command requires --input MATROID_JSON")
-    return _parse_matroid(_load_json(config.input_path), config.enumeration_bound)
+    m = _parse_matroid(_load_json(config.input_path), config.enumeration_bound)
+    m.independent_set_masks(config.enumeration_bound)
+    return m
 
 
 def _parse_matroid(obj: dict, bound: int):
@@ -167,10 +165,8 @@ def _parse_matroid(obj: dict, bound: int):
     try:
         n = obj.get("n") if obj.get("kind") == "explicit" else 0
         # matroid_from_json refuses an n that is not a JSON integer
-        if isinstance(n, int) and n > bound:
-            raise EnumerationLimitExceeded(
-                f"ground set of size {n} exceeds enumeration bound {bound}"
-            )
+        if isinstance(n, int):
+            check_enumeration_bound(n, bound)
         return matroid_from_json(obj)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise _InputError("SchemaError", f"bad matroid object: {exc}") from exc
@@ -267,7 +263,7 @@ def _cmd_validate(config: RunConfig) -> int:
 
 def _cmd_rank_sequence(config: RunConfig) -> int:
     m = _load_matroid(config)
-    counts = m.count_independent_by_size(config.enumeration_bound)
+    counts = m.count_independent_by_size()
     _emit(
         config,
         {
@@ -283,9 +279,9 @@ def _cmd_rank_sequence(config: RunConfig) -> int:
 
 def _cmd_mason(config: RunConfig) -> int:
     m = _load_matroid(config)
-    report = mason_report(m, config.enumeration_bound)
+    report = mason_report(m)
     ok = report.ulc.form3_all and report.certificate.accepted
-    payload = report.to_json(include_checks=False)
+    payload = report.to_json()
     payload["verdict"] = "pass" if ok else "fail"
     if not report.certificate.accepted and report.certificate.failure is not None:
         if not verify_certificate_failure(report.certificate, m):
@@ -312,7 +308,7 @@ def _cmd_certify_clc(config: RunConfig) -> int:
         )
     if config.input_path:
         source = _load_matroid(config)
-        cert = certify_clc_matroid(source, config.enumeration_bound)
+        cert = certify_clc_matroid(source)
     else:
         source = _load_polynomial(config)
         cert = certify_clc_quadratic_criterion(source)
@@ -338,14 +334,9 @@ def _cmd_spectral(config: RunConfig) -> int:
     if config.input_path:
         m = _load_matroid(config)
         if config.use_bases:
-            f = bases_polynomial(m, config.enumeration_bound)
-        elif config.point is None:
-            # enumerate under the run's bound; the spectral report then reads
-            # g_M at the all-ones point off the counts of the cached family
-            m.independent_set_masks(config.enumeration_bound)
-            f = m
+            f = bases_polynomial(m)
         else:
-            f = independence_polynomial(m, config.enumeration_bound)
+            f = m if config.point is None else independence_polynomial(m)
     else:
         if config.use_bases:
             raise _InputError("UsageError", "--bases applies only to --input")
@@ -355,7 +346,7 @@ def _cmd_spectral(config: RunConfig) -> int:
         point = _parse_point(config.point, f.nvars)
     try:
         report = spectral_nd_report(f, point)
-    except (MatroidLCError, TypeError, ValueError) as exc:
+    except (MatroidLCError, TypeError, ValueError, OverflowError) as exc:
         raise _InputError(type(exc).__name__, str(exc)) from exc
     ok = report.max_eigenvalue <= config.tolerance
     payload = report.to_json()

@@ -606,7 +606,7 @@ def matroid_quadratic_matrix(m: Matroid) -> SymmetricMatrix:
     return _element_matrix(n, pattern)
 
 
-def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertificate:
+def certify_clc_matroid(m: Matroid) -> CLCCertificate:
     """Certify complete log-concavity of the generating polynomial g_M.
 
     Nonzero derivatives of g_M are exactly d_y^k d_z^J g_M for
@@ -635,7 +635,7 @@ def certify_clc_matroid(m: Matroid, limit: Optional[int] = None) -> CLCCertifica
     nv = m.ambient + 1
     if n < 2:
         return CLCCertificate(True, nv, n, (), None)
-    family = m.independent_set_masks(limit)
+    family = m.independent_set_masks()
     # the z-part of J as 0/1 digits, element 1 first: sorts like the tuple
     zformat = f"0{nv - 1}b"
     buckets = [[] for _ in range(n - 1)]

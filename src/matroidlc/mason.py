@@ -251,24 +251,24 @@ class MasonReport:
     minor_checks: tuple
     consistent: bool
 
-    def to_json(self, include_checks: bool = False) -> dict:
+    def to_json(self) -> dict:
         return {
             "n": self.n,
             "sequence": list(self.sequence),
             "ulc": self.ulc.to_json(),
-            "certificate": self.certificate.to_json(include_checks=include_checks),
+            "certificate": self.certificate.to_json(include_checks=False),
             "minor_checks": [m.to_json() for m in self.minor_checks],
             "consistent": self.consistent,
         }
 
 
-def mason_report(m: Matroid, limit: Optional[int] = None) -> MasonReport:
+def mason_report(m: Matroid) -> MasonReport:
     """Full pipeline: counts -> three forms, g_M -> certificate,
     f_M -> minor determinants, with cross-checks between all three."""
-    counts = m.count_independent_by_size(limit)
+    counts = m.count_independent_by_size()
     ulc = check_ultra_log_concave(counts)
-    cert = certify_clc_matroid(m, limit)
-    minors = tuple(gurvits_minor_checks(bivariate_restriction(m, limit)))
+    cert = certify_clc_matroid(m)
+    minors = tuple(gurvits_minor_checks(bivariate_restriction(m)))
     by_k = {e.k: e for e in ulc.entries}
     for chk in minors:
         if chk.nonpositive != by_k[chk.k].form3.holds:

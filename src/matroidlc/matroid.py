@@ -45,6 +45,12 @@ from .errors import (
 DEFAULT_ENUMERATION_LIMIT = 20
 
 
+def check_enumeration_bound(n: int, bound: int) -> None:
+    """Refuse a ground set of size n above the enumeration bound."""
+    if n > bound:
+        raise EnumerationLimitExceeded(f"ground set of size {n} exceeds enumeration bound {bound}")
+
+
 def _mask_bits(mask: int) -> tuple:
     """Element labels present in a mask, ascending."""
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
@@ -195,26 +201,28 @@ class Matroid:
         return _Contraction(self, smask)
 
     def independent_set_masks(self, limit: Optional[int] = None) -> frozenset:
-        """All independent sets as masks, materialized once and cached."""
+        """All independent sets as masks, materialized once and cached.
+
+        The one bounded entry to the family, read by every query that needs
+        it.  A ground set above ``limit`` (default DEFAULT_ENUMERATION_LIMIT)
+        is refused before any work; a cached family is returned whatever the
+        limit, so one call with a larger limit lifts the bound for all queries.
+        """
         if self._family_cache is None:
             bound = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
-            n = self.n_elements
-            if n > bound:
-                raise EnumerationLimitExceeded(
-                    f"ground set of size {n} exceeds enumeration bound {bound}"
-                )
+            check_enumeration_bound(self.n_elements, bound)
             self._family_cache = frozenset(self._enumerate_masks())
         return self._family_cache
 
-    def independent_sets(self, limit: Optional[int] = None) -> list:
-        fam = self.independent_set_masks(limit)
+    def independent_sets(self) -> list:
+        fam = self.independent_set_masks()
         return sorted((_set_of(m) for m in fam), key=lambda s: (len(s), sorted(s)))
 
-    def count_independent_by_size(self, limit: Optional[int] = None) -> tuple:
+    def count_independent_by_size(self) -> tuple:
         """Sequence I_0..I_n of independent-set counts; I_0 is always 1."""
         n = self.n_elements
         counts = [0] * (n + 1)
-        for m in self.independent_set_masks(limit):
+        for m in self.independent_set_masks():
             counts[m.bit_count()] += 1
         return tuple(counts)
 

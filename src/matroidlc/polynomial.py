@@ -415,7 +415,7 @@ def _mask_exponent(mask: int, ambient: int) -> tuple:
     return tuple((mask >> i) & 1 for i in range(ambient))
 
 
-def independence_polynomial(m: Matroid, limit: Optional[int] = None) -> SparsePolynomial:
+def independence_polynomial(m: Matroid) -> SparsePolynomial:
     """g_M(y, z) = sum over independent I of y^(|ground| - |I|) z^I.
 
     Homogeneous of degree |ground| in ambient + 1 variables, every
@@ -424,12 +424,12 @@ def independence_polynomial(m: Matroid, limit: Optional[int] = None) -> SparsePo
     degree = m.n_elements
     nv = m.ambient + 1
     terms = {}
-    for mask in m.independent_set_masks(limit):
+    for mask in m.independent_set_masks():
         terms[(degree - mask.bit_count(),) + _mask_exponent(mask, m.ambient)] = 1
     return SparsePolynomial(nv, terms)
 
 
-def bases_polynomial(m: Matroid, limit: Optional[int] = None) -> SparsePolynomial:
+def bases_polynomial(m: Matroid) -> SparsePolynomial:
     """p_M(z) = sum over bases B of z^B, in ambient variables z_1..z_n.
 
     There is no homogenizing variable here; a rank zero matroid has the
@@ -438,15 +438,15 @@ def bases_polynomial(m: Matroid, limit: Optional[int] = None) -> SparsePolynomia
     nv = m.ambient
     r = m.rank
     terms = {}
-    for mask in m.independent_set_masks(limit):
+    for mask in m.independent_set_masks():
         if mask.bit_count() == r:
             terms[_mask_exponent(mask, nv)] = 1
     return SparsePolynomial(nv, terms)
 
 
-def bivariate_restriction(m: Matroid, limit: Optional[int] = None) -> SparsePolynomial:
+def bivariate_restriction(m: Matroid) -> SparsePolynomial:
     """f_M(y, z) = sum_k I_k y^(n-k) z^k, the image of g_M under z_i -> z."""
-    counts = m.count_independent_by_size(limit)
+    counts = m.count_independent_by_size()
     n = m.n_elements
     return SparsePolynomial(2, {(n - k, k): c for k, c in enumerate(counts) if c})
 

@@ -9,6 +9,7 @@ import sys
 import time
 from itertools import combinations
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -415,16 +416,31 @@ def test_spectral_flags_positive_eigenvalue(write_json, capsys):
     assert payload["all_nonpositive"] is False
 
 
-def test_spectral_point_parsing(write_json, capsys):
+@pytest.mark.parametrize(
+    "point, exit_code, expected",
+    [
+        (
+            "1,2",
+            1,
+            {
+                "point": ["1", "2"],
+                "value": "5",
+                "pair_matrix": [["6", "-8"], ["-8", "-6"]],
+                "max_eigenvalue": pytest.approx(0.4),
+            },
+        ),
+        # the pair matrix is exact, but its entries over f(a)^2 exceed a float
+        ("1e-200,1e-200", 2, {"error": {"type": "OverflowError", "message": ANY}}),
+    ],
+    ids=["rational", "float-overflow"],
+)
+def test_spectral_point_parsing(write_json, capsys, point, exit_code, expected):
     code, payload, _ = invoke(
         capsys,
-        ["spectral", "--poly", write_json("p.json", SOS_POLY), "--point", "1,2"],
+        ["spectral", "--poly", write_json("p.json", SOS_POLY), "--point", point],
     )
-    assert code == 1
-    assert payload["point"] == ["1", "2"]
-    assert payload["value"] == "5"
-    assert payload["pair_matrix"] == [["6", "-8"], ["-8", "-6"]]
-    assert payload["max_eigenvalue"] == pytest.approx(0.4)
+    assert code == exit_code
+    assert {key: payload[key] for key in expected} == expected
 
 
 def test_spectral_tolerance_changes_exit_code(write_json, capsys):
@@ -485,9 +501,19 @@ def test_missing_file_is_input_error(capsys):
     assert payload["error"]["type"] == "FileError"
 
 
-def test_malformed_json_is_input_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"{not json",
+        b'{"n": ' + b"1" * 4301 + b"}",  # longer than int() reads
+        b"\xff\xfe{}",  # not UTF-8
+        b"[" * 100_000,  # deeper than the decoder recurses
+    ],
+    ids=["syntax", "long-int", "encoding", "depth"],
+)
+def test_malformed_json_is_input_error(tmp_path, capsys, text):
     path = tmp_path / "g.json"
-    path.write_text("{not json")
+    path.write_bytes(text)
     code, payload, _ = invoke(capsys, ["validate", "--input", str(path)])
     assert code == 2
     assert payload["error"]["type"] == "JSONError"
@@ -531,20 +557,31 @@ def test_explicit_ground_at_bound_is_accepted(write_json, capsys, command, bound
     assert payload["error"]["type"] == "EnumerationLimitExceeded"
 
 
-def test_enumeration_bound_flag_and_env(write_json, capsys, monkeypatch):
-    big = write_json("big.json", {"kind": "uniform", "r": 1, "n": 21})
-    code, payload, _ = invoke(capsys, ["rank-sequence", "--input", big])
+BOUND_COMMANDS = ("rank-sequence", "mason", "certify-clc", "spectral", "spectral --bases")
+
+
+@pytest.mark.parametrize(
+    "command, n, below",
+    [pytest.param(command, 21, [], id=command) for command in BOUND_COMMANDS]
+    # the certificate of a ground set below 2 elements needs no family,
+    # but the bound is applied as the matroid is loaded
+    + [pytest.param("certify-clc", 1, ["--enumeration-bound", "0"], id="certify-clc-U(1,1)")],
+)
+def test_enumeration_bound_flag_and_env(write_json, capsys, monkeypatch, command, n, below):
+    path = write_json("m.json", {"kind": "uniform", "r": 1, "n": n})
+    argv = command.split() + ["--input", path]
+    code, payload, _ = invoke(capsys, argv + below)
     assert code == 2
     assert payload["error"]["type"] == "EnumerationLimitExceeded"
 
-    code, payload, _ = invoke(
-        capsys, ["rank-sequence", "--input", big, "--enumeration-bound", "21"]
-    )
+    code, payload, _ = invoke(capsys, argv + ["--enumeration-bound", str(n)])
     assert code == 0
-    assert payload["sequence"] == [1, 21] + [0] * 20
+    assert "error" not in payload
+    if command == "rank-sequence":
+        assert payload["sequence"] == [1, n] + [0] * (n - 1)
 
-    monkeypatch.setenv(cli.ENV_ENUMERATION_BOUND, "21")
-    code, payload, _ = invoke(capsys, ["rank-sequence", "--input", big])
+    monkeypatch.setenv(cli.ENV_ENUMERATION_BOUND, str(n))
+    code, payload, _ = invoke(capsys, argv)
     assert code == 0
 
 

@@ -31,9 +31,14 @@ from matroidlc import (
     InvalidVertexIndex,
     NonPrimeModulus,
     NotIndependent,
+    bases_polynomial,
+    bivariate_restriction,
+    certify_clc_matroid,
     from_independence_family,
     graphic,
+    independence_polynomial,
     linear,
+    mason_report,
     matroid_from_json,
     matroid_to_json,
     uniform,
@@ -407,12 +412,29 @@ def test_contraction_definition_and_rank_drop(m):
 # -- enumeration bound ------------------------------------------------------
 
 
-def test_enumeration_limit_exceeded():
-    big = uniform(1, 21)
+U_1_21_COUNTS = (1, 21) + (0,) * 20
+
+# every query that reads the family, and what it gives on U(1, 21)
+FAMILY_QUERIES = {
+    "independent_sets": (lambda m: len(m.independent_sets()), 22),
+    "count_independent_by_size": (lambda m: m.count_independent_by_size(), U_1_21_COUNTS),
+    "independence_polynomial": (lambda m: len(independence_polynomial(m).terms), 22),
+    "bases_polynomial": (lambda m: len(bases_polynomial(m).terms), 21),
+    "bivariate_restriction": (lambda m: bivariate_restriction(m).terms, {(21, 0): 1, (20, 1): 21}),
+    "certify_clc_matroid": (lambda m: len(certify_clc_matroid(m).checks), 21 + 20 * 21),
+    "mason_report": (lambda m: mason_report(m).sequence, U_1_21_COUNTS),
+}
+
+
+@pytest.mark.parametrize("query, expected", FAMILY_QUERIES.values(), ids=FAMILY_QUERIES)
+def test_enumeration_limit_exceeded(query, expected):
     with pytest.raises(EnumerationLimitExceeded):
-        big.count_independent_by_size()
+        query(uniform(1, 21))
+    big = uniform(1, 21)
     assert big.is_independent([21])
-    assert big.count_independent_by_size(21) == (1, 21) + (0,) * 20
+    # one bounded enumeration lifts the bound for every later query
+    big.independent_set_masks(21)
+    assert query(big) == expected
 
 
 # -- JSON ---------------------------------------------------------------------
