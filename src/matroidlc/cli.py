@@ -22,7 +22,14 @@ default and at most 24, is set per run with --enumeration-bound or the
 MATROIDLC_ENUMERATION_BOUND variable and applied once, as a matroid is
 loaded: an explicit n above it is refused before the family is built,
 and every command but validate enumerates the family there.  A --poly
-input has at most MAX_POLY_NVARS = 25 variables.
+input has at most MAX_POLY_NVARS = 25 variables, and a rational literal
+is bounded by matroid.parse_rational; a result too long to print is an
+OutputError.
+
+The parser alone declares each setting: its flag, the namespace
+attribute it lands in and its default.  Handlers read that namespace;
+the corpus flags are generated from the CorpusConfig fields, and
+--graphic-max-vertices is at most corpus.MAX_GRAPHIC_VERTICES = 6.
 """
 
 from __future__ import annotations
@@ -32,11 +39,10 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import fields
 from typing import Optional
 
-from .corpus import SCHEMA_VERSION, CorpusConfig, run_sweep
+from .corpus import SCHEMA_VERSION, SPECTRAL_TOLERANCE, CorpusConfig, run_sweep
 from .errors import AxiomViolation, EmptyFamily, MatroidLCError
 from .logconcavity import (
     certify_clc_matroid,
@@ -50,6 +56,7 @@ from .matroid import (
     _validate_family,
     check_enumeration_bound,
     matroid_from_json,
+    parse_rational,
 )
 from .polynomial import (
     bases_polynomial,
@@ -62,22 +69,6 @@ MAX_ENUMERATION_BOUND = 24
 # --poly input may have no more, since its Hessian has nvars^2 entries.
 MAX_POLY_NVARS = MAX_ENUMERATION_BOUND + 1
 ENV_ENUMERATION_BOUND = "MATROIDLC_ENUMERATION_BOUND"
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, normalized from flags + env."""
-
-    command: str
-    input_path: Optional[str] = None
-    poly_path: Optional[str] = None
-    output_path: Optional[str] = None
-    enumeration_bound: int = DEFAULT_ENUMERATION_LIMIT
-    point: Optional[str] = None
-    use_bases: bool = False
-    tolerance: float = 1e-9
-    seed: int = 0
-    corpus: CorpusConfig = field(default_factory=CorpusConfig)
 
 
 class _InputError(Exception):
@@ -96,7 +87,7 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError("UsageError", message)
 
 
-def _emit(config: RunConfig, payload: dict, summary: str, checks=None) -> None:
+def _emit(args: argparse.Namespace, payload: dict, summary: str, checks=None) -> None:
     """Write the payload as one line of compact, key-sorted JSON.
 
     ``checks``, when given, yields the text of the payload's "checks"
@@ -104,11 +95,11 @@ def _emit(config: RunConfig, payload: dict, summary: str, checks=None) -> None:
     key, so it is written first and never held whole.
     """
     payload.setdefault("schema_version", SCHEMA_VERSION)
-    payload.setdefault("command", config.command)
-    payload.setdefault("seed", config.seed)
+    payload.setdefault("command", args.command)
+    payload.setdefault("seed", args.seed)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8") as fh:
             _write_line(fh, text, checks)
     else:
         _write_line(sys.stdout, text, checks)
@@ -127,14 +118,31 @@ def _write_line(fh, text: str, checks) -> None:
     fh.write("\n")
 
 
-def _emit_error(config: RunConfig, exc: Exception) -> int:
+def _emit_error(args: argparse.Namespace, exc: Exception) -> int:
     type_name = getattr(exc, "type_name", type(exc).__name__)
     _emit(
-        config,
+        args,
         {"error": {"type": type_name, "message": str(exc)}},
-        f"{config.command}: error: {exc}",
+        f"{args.command}: error: {exc}",
     )
     return 2
+
+
+def _json_of(result, **kwargs) -> dict:
+    """result.to_json(**kwargs); an exact value with more digits than
+    str() writes (sys.get_int_max_str_digits()) is an input error, raised
+    before any output."""
+    try:
+        return result.to_json(**kwargs)
+    except ValueError as exc:
+        raise _InputError("OutputError", f"result cannot be written: {exc}") from exc
+
+
+def _one_source(args: argparse.Namespace) -> None:
+    if bool(args.input_path) == bool(args.poly_path):
+        raise _InputError(
+            "UsageError", f"{args.command} requires exactly one of --input or --poly"
+        )
 
 
 def _load_json(path: str) -> dict:
@@ -150,11 +158,11 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _load_matroid(config: RunConfig):
-    if not config.input_path:
+def _load_matroid(args: argparse.Namespace):
+    if not args.input_path:
         raise _InputError("UsageError", "this command requires --input MATROID_JSON")
-    m = _parse_matroid(_load_json(config.input_path), config.enumeration_bound)
-    m.independent_set_masks(config.enumeration_bound)
+    m = _parse_matroid(_load_json(args.input_path), args.enumeration_bound)
+    m.independent_set_masks(args.enumeration_bound)
     return m
 
 
@@ -172,8 +180,8 @@ def _parse_matroid(obj: dict, bound: int):
         raise _InputError("SchemaError", f"bad matroid object: {exc}") from exc
 
 
-def _load_polynomial(config: RunConfig):
-    obj = _load_json(config.poly_path)
+def _load_polynomial(args: argparse.Namespace):
+    obj = _load_json(args.poly_path)
     try:
         f = polynomial_from_json(obj)
     except MatroidLCError as exc:
@@ -189,7 +197,7 @@ def _load_polynomial(config: RunConfig):
 
 def _parse_point(text: str, nvars: int) -> tuple:
     try:
-        coords = tuple(Fraction(part.strip()) for part in text.split(","))
+        coords = tuple(parse_rational(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError("PointError", f"cannot parse point {text!r}: {exc}") from exc
     if len(coords) != nvars:
@@ -220,12 +228,12 @@ def _reverify_axiom_witness(obj: dict, axiom: str, witness) -> bool:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_validate(config: RunConfig) -> int:
-    if not config.input_path:
+def _cmd_validate(args: argparse.Namespace) -> int:
+    if not args.input_path:
         raise _InputError("UsageError", "validate requires --input MATROID_JSON")
-    obj = _load_json(config.input_path)
+    obj = _load_json(args.input_path)
     try:
-        m = _parse_matroid(obj, config.enumeration_bound)
+        m = _parse_matroid(obj, args.enumeration_bound)
     except (AxiomViolation, EmptyFamily) as exc:
         violation = {"message": str(exc)}
         if isinstance(exc, AxiomViolation):
@@ -244,28 +252,28 @@ def _cmd_validate(config: RunConfig) -> int:
         else:
             violation["axiom"] = "nonempty"
         _emit(
-            config,
+            args,
             {"valid": False, "kind": "explicit", "violation": violation},
             f"validate: INVALID ({violation['axiom']})",
         )
         return 1
-    if m.kind != "explicit" and m.n_elements <= config.enumeration_bound:
+    if m.kind != "explicit" and m.n_elements <= args.enumeration_bound:
         # A loaded uniform, graphic or linear matroid has ground 1..n, so
         # its masks are already those of an explicit family on 1..n.
-        _validate_family(m.independent_set_masks(config.enumeration_bound))
+        _validate_family(m.independent_set_masks(args.enumeration_bound))
     _emit(
-        config,
+        args,
         {"valid": True, "kind": m.kind, "n": m.n_elements, "rank": m.rank},
         f"validate: OK (n={m.n_elements}, rank={m.rank})",
     )
     return 0
 
 
-def _cmd_rank_sequence(config: RunConfig) -> int:
-    m = _load_matroid(config)
+def _cmd_rank_sequence(args: argparse.Namespace) -> int:
+    m = _load_matroid(args)
     counts = m.count_independent_by_size()
     _emit(
-        config,
+        args,
         {
             "n": m.n_elements,
             "rank": m.rank,
@@ -277,18 +285,14 @@ def _cmd_rank_sequence(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_mason(config: RunConfig) -> int:
-    m = _load_matroid(config)
+def _cmd_mason(args: argparse.Namespace) -> int:
+    m = _load_matroid(args)
     report = mason_report(m)
     ok = report.ulc.form3_all and report.certificate.accepted
     payload = report.to_json()
     payload["verdict"] = "pass" if ok else "fail"
-    if not report.certificate.accepted and report.certificate.failure is not None:
-        if not verify_certificate_failure(report.certificate, m):
-            raise _InputError("ConsistencyError", "witness failed re-verification")
-        payload["failure_witness"] = report.certificate.failure.to_json()
     _emit(
-        config,
+        args,
         payload,
         "mason: sequence={} forms=({},{},{}) certificate={}".format(
             list(report.sequence),
@@ -301,24 +305,21 @@ def _cmd_mason(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_certify_clc(config: RunConfig) -> int:
-    if bool(config.input_path) == bool(config.poly_path):
-        raise _InputError(
-            "UsageError", "certify-clc requires exactly one of --input or --poly"
-        )
-    if config.input_path:
-        source = _load_matroid(config)
+def _cmd_certify_clc(args: argparse.Namespace) -> int:
+    _one_source(args)
+    if args.input_path:
+        source = _load_matroid(args)
         cert = certify_clc_matroid(source)
     else:
-        source = _load_polynomial(config)
+        source = _load_polynomial(args)
         cert = certify_clc_quadratic_criterion(source)
-    payload = cert.to_json(include_checks=False)
+    payload = _json_of(cert, include_checks=False)
     if not cert.accepted:
         if not verify_certificate_failure(cert, source):
             raise _InputError("ConsistencyError", "witness failed re-verification")
         payload["failure"]["reverified"] = True
     _emit(
-        config,
+        args,
         payload,
         f"certify-clc: {cert.verdict} ({len(cert.checks)} checks)",
         cert._checks_json(),
@@ -326,46 +327,47 @@ def _cmd_certify_clc(config: RunConfig) -> int:
     return 0 if cert.accepted else 1
 
 
-def _cmd_spectral(config: RunConfig) -> int:
-    if bool(config.input_path) == bool(config.poly_path):
-        raise _InputError(
-            "UsageError", "spectral requires exactly one of --input or --poly"
-        )
-    if config.input_path:
-        m = _load_matroid(config)
-        if config.use_bases:
+def _cmd_spectral(args: argparse.Namespace) -> int:
+    _one_source(args)
+    if args.input_path:
+        m = _load_matroid(args)
+        if args.use_bases:
             f = bases_polynomial(m)
         else:
-            f = m if config.point is None else independence_polynomial(m)
+            f = m if args.point is None else independence_polynomial(m)
     else:
-        if config.use_bases:
+        if args.use_bases:
             raise _InputError("UsageError", "--bases applies only to --input")
-        f = _load_polynomial(config)
+        f = _load_polynomial(args)
     point = None
-    if config.point is not None:
-        point = _parse_point(config.point, f.nvars)
+    if args.point is not None:
+        point = _parse_point(args.point, f.nvars)
     try:
         report = spectral_nd_report(f, point)
     except (MatroidLCError, TypeError, ValueError, OverflowError) as exc:
         raise _InputError(type(exc).__name__, str(exc)) from exc
-    ok = report.max_eigenvalue <= config.tolerance
-    payload = report.to_json()
-    payload["tolerance"] = config.tolerance
+    ok = report.max_eigenvalue <= args.spectral_tolerance
+    payload = _json_of(report)
+    payload["tolerance"] = args.spectral_tolerance
     payload["all_nonpositive"] = ok
     _emit(
-        config,
+        args,
         payload,
         f"spectral: max eigenvalue {report.max_eigenvalue:.3e} "
-        f"({'<=' if ok else '>'} {config.tolerance:g})",
+        f"({'<=' if ok else '>'} {args.spectral_tolerance:g})",
     )
     return 0 if ok else 1
 
 
-def _cmd_corpus(config: RunConfig) -> int:
-    result = run_sweep(config.corpus)
+def _cmd_corpus(args: argparse.Namespace) -> int:
+    try:
+        config = CorpusConfig(**{f.name: getattr(args, f.name) for f in fields(CorpusConfig)})
+    except ValueError as exc:
+        raise _InputError("UsageError", str(exc)) from exc
+    result = run_sweep(config)
     failed = result["totals"]["failed"]
     _emit(
-        config,
+        args,
         result,
         "corpus: {} instances, {} passed, {} failed".format(
             result["totals"]["instances"], result["totals"]["passed"], failed
@@ -384,18 +386,18 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one command; always emits a JSON object before returning."""
     try:
-        if not 0 <= config.enumeration_bound <= MAX_ENUMERATION_BOUND:
+        if not 0 <= args.enumeration_bound <= MAX_ENUMERATION_BOUND:
             raise _InputError(
                 "UsageError",
                 f"enumeration bound must be 0..{MAX_ENUMERATION_BOUND}, "
-                f"got {config.enumeration_bound}",
+                f"got {args.enumeration_bound}",
             )
-        return _HANDLERS[config.command](config)
+        return _HANDLERS[args.command](args)
     except (_InputError, MatroidLCError) as exc:
-        return _emit_error(config, exc)
+        return _emit_error(args, exc)
 
 
 @functools.cache
@@ -405,58 +407,55 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="matroidlc",
         description="Exact matroid log-concavity toolkit (JSON in, JSON out).",
     )
+    # the sources and spectral settings of the commands that take none
+    parser.set_defaults(input_path=None, poly_path=None, point=None, use_bases=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def common(p, needs_input=True, poly=False):
         if needs_input:
-            p.add_argument("--input", help="matroid JSON file")
-        p.add_argument("--output", help="write JSON here instead of stdout")
+            p.add_argument("--input", dest="input_path", metavar="INPUT", help="matroid JSON file")
         p.add_argument(
-            "--enumeration-bound",
-            type=int,
-            default=None,
+            "--output", dest="output_path", metavar="OUTPUT",
+            help="write JSON here instead of stdout",
+        )
+        p.add_argument(
+            "--enumeration-bound", type=int,
             help=f"max ground-set size for enumeration (<= {MAX_ENUMERATION_BOUND})",
         )
         p.add_argument("--seed", type=int, default=0, help="seed recorded in output")
+        if poly:
+            p.add_argument("--poly", dest="poly_path", metavar="POLY", help="polynomial JSON file")
+
+    def tolerance(p, help):
+        p.add_argument(
+            "--tolerance", dest="spectral_tolerance", metavar="TOLERANCE",
+            type=float, default=SPECTRAL_TOLERANCE, help=help,
+        )
 
     common(sub.add_parser("validate", help="axiom check"))
     common(sub.add_parser("rank-sequence", help="independent-set counts"))
     common(sub.add_parser("mason", help="sequence forms (i)/(ii)/(iii)"))
-
-    certify = sub.add_parser("certify-clc", help="complete log-concavity certificate")
-    common(certify)
-    certify.add_argument("--poly", help="polynomial JSON file")
-
+    common(sub.add_parser("certify-clc", help="complete log-concavity certificate"), poly=True)
     spectral = sub.add_parser("spectral", help="floating eigenvalue diagnostic")
-    common(spectral)
-    spectral.add_argument("--poly", help="polynomial JSON file")
-    spectral.add_argument("--bases", action="store_true", help="use the bases polynomial")
-    spectral.add_argument("--point", help="comma-separated rational coordinates")
+    common(spectral, poly=True)
     spectral.add_argument(
-        "--tolerance", type=float, default=1e-9, help="max allowed eigenvalue"
+        "--bases", dest="use_bases", action="store_true", help="use the bases polynomial"
     )
+    spectral.add_argument("--point", help="comma-separated rational coordinates")
+    tolerance(spectral, "max allowed eigenvalue")
 
     corpus = sub.add_parser("corpus", help="generate-and-verify sweep")
     common(corpus, needs_input=False)
-    defaults = CorpusConfig()
-    corpus.add_argument(
-        "--graphic-max-vertices", type=int, default=defaults.graphic_max_vertices
-    )
-    corpus.add_argument("--uniform-max-n", type=int, default=defaults.uniform_max_n)
-    corpus.add_argument("--linear-count", type=int, default=defaults.linear_count)
-    corpus.add_argument("--linear-max-rows", type=int, default=defaults.linear_max_rows)
-    corpus.add_argument("--linear-max-cols", type=int, default=defaults.linear_max_cols)
-    corpus.add_argument("--explicit-count", type=int, default=defaults.explicit_count)
-    corpus.add_argument("--explicit-max-n", type=int, default=defaults.explicit_max_n)
-    corpus.add_argument(
-        "--tolerance", type=float, default=defaults.spectral_tolerance,
-        help="spectral pass threshold",
-    )
+    for f in fields(CorpusConfig):
+        if f.name == "spectral_tolerance":
+            tolerance(corpus, "spectral pass threshold")
+        elif f.name != "seed":  # --seed is common to every command
+            corpus.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
     return parser
 
 
 def _resolve_bound(args: argparse.Namespace) -> int:
-    if getattr(args, "enumeration_bound", None) is not None:
+    if args.enumeration_bound is not None:
         return args.enumeration_bound
     env = os.environ.get(ENV_ENUMERATION_BOUND)
     if env is not None:
@@ -474,36 +473,14 @@ def main(argv: Optional[list] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
+        args.enumeration_bound = _resolve_bound(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except _InputError as exc:
+        # the run's settings are not known yet: report on stdout, seed 0
         command = next((a for a in argv if a in _HANDLERS), parser.prog)
-        return _emit_error(RunConfig(command=command), exc)
-    config = RunConfig(command=args.command)
-    try:
-        config.enumeration_bound = _resolve_bound(args)
-    except _InputError as exc:
-        return _emit_error(config, exc)
-    config.input_path = getattr(args, "input", None)
-    config.poly_path = getattr(args, "poly", None)
-    config.output_path = getattr(args, "output", None)
-    config.point = getattr(args, "point", None)
-    config.use_bases = getattr(args, "bases", False)
-    config.tolerance = getattr(args, "tolerance", 1e-9)
-    config.seed = getattr(args, "seed", 0)
-    if args.command == "corpus":
-        config.corpus = CorpusConfig(
-            graphic_max_vertices=args.graphic_max_vertices,
-            uniform_max_n=args.uniform_max_n,
-            linear_count=args.linear_count,
-            linear_max_rows=args.linear_max_rows,
-            linear_max_cols=args.linear_max_cols,
-            explicit_count=args.explicit_count,
-            explicit_max_n=args.explicit_max_n,
-            seed=config.seed,
-            spectral_tolerance=args.tolerance,
-        )
-    return run(config)
+        return _emit_error(argparse.Namespace(command=command, output_path=None, seed=0), exc)
+    return run(args)
 
 
 if __name__ == "__main__":

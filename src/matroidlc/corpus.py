@@ -27,6 +27,10 @@ from .mason import mason_report
 from .matroid import Matroid, _find, from_independence_family, graphic, linear, uniform
 
 SCHEMA_VERSION = 1
+# largest eigenvalue a spectral diagnostic may have and still pass
+SPECTRAL_TOLERANCE = 1e-9
+# connected graphs on 7 vertices would take 2^21 edge sets
+MAX_GRAPHIC_VERTICES = 6
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,14 @@ class CorpusConfig:
     explicit_count: int = 200
     explicit_max_n: int = 8
     seed: int = 0
-    spectral_tolerance: float = 1e-9
+    spectral_tolerance: float = SPECTRAL_TOLERANCE
+
+    def __post_init__(self):
+        if self.graphic_max_vertices > MAX_GRAPHIC_VERTICES:
+            raise ValueError(
+                f"graphic_max_vertices must be at most {MAX_GRAPHIC_VERTICES}, "
+                f"got {self.graphic_max_vertices}"
+            )
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -62,27 +73,39 @@ def connected_graphs(max_vertices: int) -> List[Tuple[int, tuple]]:
     """All connected simple graphs with <= max_vertices vertices, one
     per isomorphism class, with 0-based vertex pairs.
 
-    Canonical representative: the lexicographically smallest sorted
-    edge list over all vertex relabelings.  Sizes are small enough
-    (<= 2^10 subsets, <= 5! relabelings) for the brute-force canon.
+    An edge set is a mask over the vertex pairs in lexicographic order,
+    so its set bits, ascending, are its sorted edge list.  A vertex
+    relabeling moves the bit of {a, b} to that of {perm a, perm b}; the
+    transposition (0 1) and the cycle (0 1 ... v-1) generate all
+    relabelings, so a search along those two moves visits the whole
+    orbit of an edge set, and every edge set is visited once.  The
+    canonical representative of a class is the lexicographically
+    smallest sorted edge list in its orbit.
     """
     out = []
     for v in range(1, max_vertices + 1):
         pairs = list(itertools.combinations(range(v), 2))
-        perms = list(itertools.permutations(range(v)))
-        seen = set()
+        index = {p: i for i, p in enumerate(pairs)}
+        generators = ((1, 0) + tuple(range(2, v)), tuple(range(1, v)) + (0,))
+        moves = [[index[tuple(sorted((g[a], g[b])))] for a, b in pairs] for g in generators]
+        seen = bytearray(1 << len(pairs))
         found = []
-        for bits in range(1 << len(pairs)):
-            edges = tuple(p for i, p in enumerate(pairs) if bits >> i & 1)
-            if not _is_connected(v, edges):
+        for start in range(1 << len(pairs)):
+            if seen[start]:
                 continue
-            canon = min(
-                tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
-                for perm in perms
-            )
-            if canon not in seen:
-                seen.add(canon)
-                found.append(canon)
+            seen[start] = 1
+            orbit = [start]
+            for mask in orbit:
+                for move in moves:
+                    image = 0
+                    for i, j in enumerate(move):
+                        image |= (mask >> i & 1) << j
+                    if not seen[image]:
+                        seen[image] = 1
+                        orbit.append(image)
+            edges = min(tuple(p for i, p in enumerate(pairs) if m >> i & 1) for m in orbit)
+            if _is_connected(v, edges):
+                found.append(edges)
         found.sort(key=lambda es: (len(es), es))
         out.extend((v, es) for es in found)
     return out

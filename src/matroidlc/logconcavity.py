@@ -726,20 +726,19 @@ def _matroid_checks_json(n: int, buckets: list):
                 sep = ","
 
 
-def verify_certificate_failure(cert: CLCCertificate, source) -> bool:
-    """Re-check a rejection witness against the original input.
+def verify_certificate_failure(cert: CLCCertificate, f: SparsePolynomial) -> bool:
+    """Re-check a rejection witness against the original polynomial.
 
-    ``source`` is the SparsePolynomial or Matroid the certificate was
-    issued for.  Returns True when the witness still demonstrates the
-    failure; used before emitting failure objects.
+    ``f`` is the SparsePolynomial the certificate was issued for; a
+    matroid certificate is always accepted.  The failing derivative is
+    re-derived from f: a partition must split its support, and a vector
+    v must have v^T C v > 0 for the test matrix C of the quadratic at
+    the all-ones point.  Returns True when the witness still
+    demonstrates the failure; used before emitting failure objects.
     """
     if cert.accepted or cert.failure is None:
         raise ValueError("certificate has no failure to verify")
     chk = cert.failure
-    if isinstance(source, Matroid):
-        f = independence_polynomial(source)
-    else:
-        f = source
     deriv = f.derivative_multi(chk.alpha)
     if chk.kind == "indecomposable":
         first, rest = chk.witness_partition
@@ -754,9 +753,20 @@ def verify_certificate_failure(cert: CLCCertificate, source) -> bool:
             seen_rest |= hits_rest
         return seen_first and seen_rest
     if chk.kind == "quadratic-nsd":
-        if chk.matrix is None or chk.witness_vector is None:
+        v, n = chk.witness_vector, f.nvars
+        if v is None or len(v) != n or deriv.total_degree() != 2 or not deriv.is_homogeneous():
             return False
-        return chk.matrix.quad(chk.witness_vector) > 0
+        # Q, the Hessian of the quadratic d^alpha f, is read off its
+        # coefficients; its test matrix at 1 is C = (1^T Q 1) Q - (Q1)(Q1)^T,
+        # so v^T C v = (1^T Q 1)(v^T Q v) - (v^T Q1)^2, without building C
+        q = [[0] * n for _ in range(n)]
+        for exp, c in deriv.terms.items():
+            i, j = (k for k, e in enumerate(exp) for _ in range(e))
+            q[i][j] = q[j][i] = 2 * c if i == j else c
+        q1 = [sum(row) for row in q]
+        qv = [sum(x * y for x, y in zip(row, v)) for row in q]
+        vqv = sum(x * y for x, y in zip(v, qv))
+        return sum(q1) * vqv - sum(x * y for x, y in zip(v, q1)) ** 2 > 0
     raise ValueError(f"unknown check kind {chk.kind!r}")
 
 

@@ -322,6 +322,8 @@ class UniformMatroid(Matroid):
     kind = "uniform"
 
     def __init__(self, r: int, n: int):
+        if type(r) is not int or type(n) is not int or n < 0 or not 0 <= r <= n:
+            raise InvalidRank(f"need 0 <= r <= n, got r={r}, n={n}")
         super().__init__((1 << n) - 1, n)
         self.r = r
 
@@ -345,9 +347,15 @@ class GraphicMatroid(Matroid):
     kind = "graphic"
 
     def __init__(self, vertices: int, edges: Sequence):
+        if vertices < 0:
+            raise InvalidVertexIndex("vertex count must be nonnegative")
+        for u, v in edges:
+            for x in (u, v):
+                if type(x) is not int or x < 1 or x > vertices:
+                    raise InvalidVertexIndex(f"endpoint {x!r} outside 1..{vertices}")
         super().__init__((1 << len(edges)) - 1, len(edges))
         self.vertices = vertices
-        self.edges = tuple((int(u), int(v)) for u, v in edges)
+        self.edges = tuple((u, v) for u, v in edges)
 
     def _start(self):
         return list(range(self.vertices + 1))
@@ -381,6 +389,10 @@ class LinearMatroid(Matroid):
     kind = "linear"
 
     def __init__(self, columns: Sequence, modulus: int = 0):
+        if modulus > MAX_PRIME_MODULUS:
+            raise ValueError(f"modulus {modulus} exceeds {MAX_PRIME_MODULUS}")
+        if modulus != 0 and not _is_prime(modulus):
+            raise NonPrimeModulus(f"modulus {modulus} is not prime")
         cols = [tuple(Fraction(x) for x in col) for col in columns]
         height = len(cols[0]) if cols else 0
         if any(len(col) != height for col in cols):
@@ -580,35 +592,39 @@ def _validate_family(masks) -> None:
                     )
 
 
-def uniform(r: int, n: int) -> UniformMatroid:
-    if type(r) is not int or type(n) is not int or n < 0 or not 0 <= r <= n:
-        raise InvalidRank(f"need 0 <= r <= n, got r={r}, n={n}")
-    return UniformMatroid(r, n)
-
-
-def graphic(vertices: int, edges: Sequence) -> GraphicMatroid:
-    if vertices < 0:
-        raise InvalidVertexIndex("vertex count must be nonnegative")
-    for u, v in edges:
-        for x in (u, v):
-            if type(x) is not int or x < 1 or x > vertices:
-                raise InvalidVertexIndex(f"endpoint {x!r} outside 1..{vertices}")
-    return GraphicMatroid(vertices, edges)
-
-
-def linear(columns: Sequence, modulus: int = 0) -> LinearMatroid:
-    if modulus > MAX_PRIME_MODULUS:
-        raise ValueError(f"modulus {modulus} exceeds {MAX_PRIME_MODULUS}")
-    if modulus != 0 and not _is_prime(modulus):
-        raise NonPrimeModulus(f"modulus {modulus} is not prime")
-    return LinearMatroid(columns, modulus)
+uniform = UniformMatroid
+graphic = GraphicMatroid
+linear = LinearMatroid
 
 
 # -- JSON --------------------------------------------------------------
 
+# A rational literal longer than this, or with a larger decimal exponent,
+# is refused before Fraction reads it: Fraction("1e10000000") builds a
+# ten-million-digit integer.  Accepted literals have at most about 2000
+# digits above and below the line, well inside str()'s 4300-digit limit.
+MAX_RATIONAL_CHARS = 1000
+MAX_RATIONAL_EXPONENT = 1000
 
-def matroid_to_json(m: Matroid) -> dict:
-    return m.to_json()
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), refusing an over-long literal or a large exponent
+    with ValueError before any digits are converted."""
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ValueError(
+            f"rational literal of {len(text)} characters, at most {MAX_RATIONAL_CHARS}"
+        )
+    _, e, exponent = text.lower().partition("e")
+    try:
+        too_large = bool(e) and abs(int(exponent)) > MAX_RATIONAL_EXPONENT
+    except ValueError:  # not an exponent: Fraction names the bad literal
+        too_large = False
+    if too_large:
+        raise ValueError(
+            f"rational literal {text!r} has an exponent outside "
+            f"-{MAX_RATIONAL_EXPONENT}..{MAX_RATIONAL_EXPONENT}"
+        )
+    return Fraction(text)
 
 
 def _json_int(x) -> int:
@@ -633,6 +649,6 @@ def matroid_from_json(obj: dict) -> Matroid:
         edges = [(_json_int(u), _json_int(v)) for u, v in obj["edges"]]
         return graphic(_json_int(obj["vertices"]), edges)
     if kind == "linear":
-        columns = [[Fraction(str(x)) for x in col] for col in obj["columns"]]
+        columns = [[parse_rational(str(x)) for x in col] for col in obj["columns"]]
         return linear(columns, _json_int(obj["modulus"]))
     raise ValueError(f"unknown matroid kind {kind!r}")

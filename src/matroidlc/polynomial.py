@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NotHomogeneous
 from .linalg import SymmetricMatrix
-from .matroid import Matroid
+from .matroid import Matroid, parse_rational
 
 
 def _as_coeff(c):
@@ -475,6 +475,6 @@ def polynomial_from_json(obj: dict) -> SparsePolynomial:
         exp = tuple(item["exp"])
         if not all(type(e) is int for e in exp):
             raise TypeError(f"exponents must be JSON integers, got {item['exp']!r}")
-        coeff = Fraction(str(item["coeff"]))
+        coeff = parse_rational(str(item["coeff"]))
         terms[exp] = terms.get(exp, 0) + coeff
     return SparsePolynomial(nvars, terms)

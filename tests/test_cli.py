@@ -1,5 +1,6 @@
 """End-to-end tests of the matroidlc command line interface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from itertools import combinations
 from pathlib import Path
 from unittest.mock import ANY
@@ -18,16 +20,19 @@ from hypothesis import strategies as st
 import helpers
 from helpers import brute_axiom_failure, powerset
 from matroidlc import (
+    CorpusConfig,
     certify_clc_matroid,
     certify_clc_quadratic_criterion,
     cli,
+    connected_graphs,
     independence_polynomial,
     logconcavity,
     matroid_from_json,
-    matroid_to_json,
     polynomial_from_json,
     polynomial_to_json,
 )
+from matroidlc import matroid as matroid_module
+from matroidlc.corpus import SPECTRAL_TOLERANCE
 
 U23 = {"kind": "uniform", "r": 2, "n": 3}
 K3 = {"kind": "graphic", "vertices": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
@@ -337,7 +342,7 @@ QUADRATIC_FAIL_POLY = {
 
 @pytest.mark.parametrize(
     "flag, obj",
-    [("--input", matroid_to_json(m)) for m in helpers.zoo()]
+    [("--input", m.to_json()) for m in helpers.zoo()]
     + [
         ("--input", {"kind": "uniform", "r": 6, "n": 12}),
         ("--poly", PRODUCT_POLY),
@@ -397,7 +402,7 @@ def test_spectral_on_matroid(write_json, capsys):
 @pytest.mark.parametrize("m", helpers.zoo(), ids=repr)
 def test_spectral_input_matches_polynomial_route(write_json, capsys, m):
     # a matroid at the all-ones point skips g_M; the bytes must not change
-    matroid = write_json("m.json", matroid_to_json(m))
+    matroid = write_json("m.json", m.to_json())
     poly = write_json("g.json", polynomial_to_json(independence_polynomial(m)))
     point = ",".join(str(i + 1) for i in range(m.ambient + 1))
     for extra in ([], ["--point", point]):
@@ -472,6 +477,44 @@ def test_corpus_output_is_deterministic(capsys):
     code2, payload2, _ = invoke(capsys, SMALL_CORPUS + ["--seed", "5"])
     assert code1 == code2 == 0
     assert payload1 == payload2
+
+
+def test_six_vertex_graphs_are_one_per_isomorphism_class(capsys):
+    # connected graphs on 1..6 vertices up to isomorphism: OEIS A001349
+    found = [v for v, _ in connected_graphs(6)]
+    assert [found.count(v) for v in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+    code, payload, _ = invoke(
+        capsys,
+        [
+            "corpus",
+            "--graphic-max-vertices", "6",
+            "--uniform-max-n", "0",
+            "--linear-count", "0",
+            "--explicit-count", "0",
+        ],
+    )
+    assert code == 0
+    ids = [row["id"] for row in payload["instances"]]
+    assert sum(i.startswith("graphic-v6-") for i in ids) == 112
+
+
+def _subparser(name):
+    parser = cli._build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices[name]
+
+
+def test_parser_is_the_single_source_of_settings():
+    corpus = _subparser("corpus")
+    for f in fields(CorpusConfig):
+        flags = [a for a in corpus._actions if a.dest == f.name]
+        assert len(flags) == 1, f.name
+        assert flags[0].default == f.default, f.name
+    parsed = cli._build_parser().parse_args(["corpus"])
+    config = CorpusConfig(**{f.name: getattr(parsed, f.name) for f in fields(CorpusConfig)})
+    assert config == CorpusConfig()
+    (spectral,) = [a for a in _subparser("spectral")._actions if a.dest == "spectral_tolerance"]
+    assert spectral.default is CorpusConfig.spectral_tolerance is SPECTRAL_TOLERANCE
 
 
 # -- shared plumbing ------------------------------------------------------------------
@@ -594,6 +637,56 @@ def test_enumeration_bound_hard_cap(write_json, capsys):
     assert payload["error"]["type"] == "UsageError"
 
 
+@pytest.mark.parametrize(
+    "bound, literal",
+    [
+        ("MAX_RATIONAL_EXPONENT", "1e6"),
+        ("MAX_RATIONAL_EXPONENT", "1E-6"),
+        ("MAX_RATIONAL_CHARS", "123456"),
+    ],
+)
+def test_long_rational_literals_are_refused(write_json, capsys, monkeypatch, bound, literal):
+    # the bound is lowered, so that small literals stand for huge ones
+    monkeypatch.setattr(matroid_module, bound, 5)
+    poly = {"nvars": 2, "terms": [{"exp": [2, 0], "coeff": literal}, {"exp": [0, 2], "coeff": "1"}]}
+    linear = {"kind": "linear", "modulus": 0, "columns": [[literal], ["1"]]}
+    sos = write_json("p.json", SOS_POLY)
+    cases = [
+        (["spectral", "--poly", sos, "--point", f"{literal},1"], "PointError"),
+        (["certify-clc", "--poly", write_json("q.json", poly)], "SchemaError"),
+        (["rank-sequence", "--input", write_json("m.json", linear)], "SchemaError"),
+    ]
+    for argv, type_name in cases:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert code == 2
+        assert [json.loads(line)["error"]["type"] for line in lines] == [type_name]
+        assert "Traceback" not in captured.err
+    # a literal at the bound is read
+    code, payload, _ = invoke(capsys, ["spectral", "--poly", sos, "--point", "1e5,1"])
+    assert code != 2
+    assert payload["point"] == ["100000", "1"]
+
+
+def test_value_too_long_to_write_is_one_error_object(write_json, capsys):
+    # x^5 + y^5 at (1e130, 1) has a 651-digit value, above the smallest
+    # digit limit str() can be given; the default limit is 4300 digits
+    quintic = {"nvars": 2, "terms": [{"exp": [5, 0], "coeff": "1"}, {"exp": [0, 5], "coeff": "1"}]}
+    argv = ["spectral", "--poly", write_json("p.json", quintic), "--point", "1e130,1"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.splitlines()
+    assert [json.loads(line)["error"]["type"] for line in lines] == ["OutputError"]
+    assert "Traceback" not in captured.err
+
+
 _MONOMIAL = {"exp": [1, 1], "coeff": "1"}
 
 
@@ -653,7 +746,14 @@ def test_zero_denominator_is_schema_error(write_json, capsys, args, name, obj):
 
 
 @pytest.mark.parametrize(
-    "args", [["mason", "--input", "m.json", "--bogus"], [], ["mason", "--seed", "x"]]
+    "args",
+    [
+        ["mason", "--input", "m.json", "--bogus"],
+        [],
+        ["mason", "--seed", "x"],
+        # refused before the 2^21 edge sets of seven vertices are searched
+        ["corpus", "--graphic-max-vertices", "7"],
+    ],
 )
 def test_usage_errors_are_json(capsys, args):
     code = cli.main(args)

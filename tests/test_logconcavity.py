@@ -239,6 +239,20 @@ def test_certify_rejects_indefinite_quadratic_with_vector_witness():
     assert verify_certificate_failure(cert, f)
 
 
+def test_quadratic_witness_is_rechecked_against_the_source():
+    # x^2 + xy/10 + y^2 is rejected with witness (1, 0); x^2 + 3xy + y^2
+    # is CLC, so the same witness must not verify against it
+    rejected = P(2, {(2, 0): 1, (1, 1): Fraction(1, 10), (0, 2): 1})
+    cert = certify_clc_quadratic_criterion(rejected)
+    assert cert.failure.kind == "quadratic-nsd"
+    assert verify_certificate_failure(cert, rejected)
+    clc = P(2, {(2, 0): 1, (1, 1): 3, (0, 2): 1})
+    assert certify_clc_quadratic_criterion(clc).accepted
+    assert not verify_certificate_failure(cert, clc)
+    # a source whose derivative at alpha is not quadratic
+    assert not verify_certificate_failure(cert, P(2, {(3, 0): 1, (0, 3): 1}))
+
+
 def test_certificate_json_shape():
     cert = certify_clc_quadratic_criterion(independence_polynomial(uniform(1, 2)))
     payload = cert.to_json()

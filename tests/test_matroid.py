@@ -27,10 +27,13 @@ from matroidlc import (
     EmptyFamily,
     EnumerationLimitExceeded,
     ExplicitMatroid,
+    GraphicMatroid,
     InvalidRank,
     InvalidVertexIndex,
     NonPrimeModulus,
     NotIndependent,
+    LinearMatroid,
+    UniformMatroid,
     bases_polynomial,
     bivariate_restriction,
     certify_clc_matroid,
@@ -40,7 +43,6 @@ from matroidlc import (
     linear,
     mason_report,
     matroid_from_json,
-    matroid_to_json,
     uniform,
 )
 from matroidlc.matroid import MAX_PRIME_MODULUS, _is_prime
@@ -147,6 +149,26 @@ def test_constructor_input_errors():
         graphic(2, [(True, 2)])
     with pytest.raises(NonPrimeModulus):
         linear([[1], [0]], 4)
+
+
+@pytest.mark.parametrize(
+    "cls, args, error",
+    [
+        (UniformMatroid, (5, 3), InvalidRank),
+        (UniformMatroid, (1, -1), InvalidRank),
+        (GraphicMatroid, (2, [(1, 5)]), InvalidVertexIndex),
+        (GraphicMatroid, (-1, []), InvalidVertexIndex),
+        (LinearMatroid, ([[2], [3]], 6), NonPrimeModulus),
+        (LinearMatroid, ([[1]], MAX_PRIME_MODULUS + 1), ValueError),
+        (LinearMatroid, ([[1], [1, 0]], 2), ValueError),
+    ],
+)
+def test_direct_construction_checks_its_arguments(cls, args, error):
+    # the factories are the classes, so no way of building a Matroid
+    # skips the checks and describes an object that is not a matroid
+    assert (uniform, graphic, linear) == (UniformMatroid, GraphicMatroid, LinearMatroid)
+    with pytest.raises(error):
+        cls(*args)
 
 
 def test_primality_is_exact_and_fast():
@@ -442,7 +464,7 @@ def test_enumeration_limit_exceeded(query, expected):
 
 @pytest.mark.parametrize("m", zoo(), ids=lambda m: repr(m))
 def test_json_roundtrip(m):
-    clone = matroid_from_json(matroid_to_json(m))
+    clone = matroid_from_json(m.to_json())
     assert clone.ground == m.ground
     assert clone.independent_set_masks() == m.independent_set_masks()
 
