@@ -21,7 +21,8 @@ machine-readable error object).  The enumeration bound, 20 elements by
 default and at most 24, is set per run with --enumeration-bound or the
 MATROIDLC_ENUMERATION_BOUND variable and applied once, as a matroid is
 loaded: an explicit n above it is refused before the family is built,
-and every command but validate enumerates the family there.  A --poly
+and every command but validate enumerates the family there.  corpus
+loads no matroid, so it takes no bound and ignores the variable.  A --poly
 input has at most MAX_POLY_NVARS = 25 variables, and a rational literal
 is bounded by matroid.parse_rational; a result too long to print is an
 OutputError.
@@ -389,11 +390,12 @@ _HANDLERS = {
 def run(args: argparse.Namespace) -> int:
     """Execute one command; always emits a JSON object before returning."""
     try:
-        if not 0 <= args.enumeration_bound <= MAX_ENUMERATION_BOUND:
+        bound = args.enumeration_bound
+        if bound is not None and not 0 <= bound <= MAX_ENUMERATION_BOUND:
             raise _InputError(
                 "UsageError",
                 f"enumeration bound must be 0..{MAX_ENUMERATION_BOUND}, "
-                f"got {args.enumeration_bound}",
+                f"got {bound}",
             )
         return _HANDLERS[args.command](args)
     except (_InputError, MatroidLCError) as exc:
@@ -418,10 +420,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "--output", dest="output_path", metavar="OUTPUT",
             help="write JSON here instead of stdout",
         )
-        p.add_argument(
-            "--enumeration-bound", type=int,
-            help=f"max ground-set size for enumeration (<= {MAX_ENUMERATION_BOUND})",
-        )
+        if needs_input:  # corpus loads no matroid, so it has no bound to set
+            p.add_argument(
+                "--enumeration-bound", type=int,
+                help=f"max ground-set size for enumeration (<= {MAX_ENUMERATION_BOUND})",
+            )
         p.add_argument("--seed", type=int, default=0, help="seed recorded in output")
         if poly:
             p.add_argument("--poly", dest="poly_path", metavar="POLY", help="polynomial JSON file")
@@ -454,7 +457,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_bound(args: argparse.Namespace) -> int:
+def _resolve_bound(args: argparse.Namespace) -> Optional[int]:
+    """The flag, else the environment variable, else the default; None
+    for corpus, the one command that loads no matroid and takes no bound."""
+    if not hasattr(args, "enumeration_bound"):
+        return None
     if args.enumeration_bound is not None:
         return args.enumeration_bound
     env = os.environ.get(ENV_ENUMERATION_BOUND)

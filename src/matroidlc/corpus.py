@@ -53,6 +53,10 @@ class CorpusConfig:
                 f"graphic_max_vertices must be at most {MAX_GRAPHIC_VERTICES}, "
                 f"got {self.graphic_max_vertices}"
             )
+        # a random instance draws its size from 1..max
+        for name in ("linear_max_rows", "linear_max_cols", "explicit_max_n"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -67,7 +67,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -328,7 +328,7 @@ def log_concavity_condition_report(
     basis = _orthogonal_complement_basis(qa)
     cond2 = bool(is_negative_semidefinite(_restrict_form(q, basis)))
     cond4 = cond2
-    cond5_matrix = log_concavity_test_matrix(f, a)
+    cond5_matrix = _rank_one_update(q.rows(), sum(x * y for x, y in zip(a, qa)), qa)
     cond5 = bool(is_negative_semidefinite(cond5_matrix))
 
     rng = random.Random(seed)
@@ -456,12 +456,12 @@ class CLCCertificate:
     positive eigenvalues, and d^alpha f is not log-concave at 1.
 
     The general certifier holds its checks in a tuple.  A matroid
-    certificate builds its checks on demand: ``checks`` and
-    ``quadratic_checks()`` know their lengths by closed form, build the
-    checks afresh on each iteration and once for indexing, and the
-    certificate's JSON text is written from the sorted z-parts alone.
-    The parallel classes of each contraction are read only when check
-    objects are built.
+    certificate holds its matroid and nothing derived from it: ``checks``
+    and ``quadratic_checks()`` know their lengths by closed form in the
+    counts I_k, and the checks, the quadratic checks and the JSON text of
+    the checks are each built on demand by one walk over the enumerated
+    family (see _matroid_walk).  The parallel classes of each contraction
+    are read only when check objects are built.
     """
 
     accepted: bool
@@ -469,30 +469,29 @@ class CLCCertificate:
     degree: int
     checks: Sequence
     failure: Optional[CertificateCheck]
-    # buckets[s]: (zpart, J) for each independent mask J with |J| = s,
-    # sorted by zpart, the z-part of alpha as a string of 0/1 digits; set
-    # by certify_clc_matroid only, with _quadratics, which returns a fresh
-    # iterator over the quadratic checks
-    _buckets: Optional[list] = field(default=None, repr=False, compare=False)
-    _quadratics: Optional[Callable] = field(default=None, repr=False, compare=False)
+    # set by certify_clc_matroid only
+    _matroid: Optional[Matroid] = field(default=None, repr=False, compare=False)
 
     @property
     def verdict(self) -> str:
         return "accepted" if self.accepted else "rejected"
 
     def quadratic_checks(self) -> Sequence:
-        if self._buckets is None:
+        m = self._matroid
+        if m is None:
             return tuple(c for c in self.checks if c.kind == "quadratic-nsd")
-        return _LazyChecks(sum(map(len, self._buckets)), self._quadratics)
+        # one per independent J with |J| <= n - 2
+        counts = m.count_independent_by_size()[: self.degree - 1]
+        return _LazyChecks(sum(counts), lambda: _matroid_checks(m, indecomposable=False))
 
     def _checks_json(self):
         """The JSON text of ``checks`` without its brackets, in pieces
         whose concatenation equals the compact, key-sorted dump."""
-        if self._buckets is None:
+        if self._matroid is None:
             checks = [c.to_json() for c in self.checks]
             yield json.dumps(checks, sort_keys=True, separators=(",", ":"))[1:-1]
         else:
-            yield from _matroid_checks_json(self.degree, self._buckets)
+            yield from _matroid_checks_json(self._matroid)
 
     def to_json(self, include_checks: bool = True) -> dict:
         out = {
@@ -620,12 +619,10 @@ def certify_clc_matroid(m: Matroid) -> CLCCertificate:
     The parallel-class matrix of M/J factors as P (J_c - n' I_c) P^T,
     and the c x c core has eigenvalues c - n' (once) and -n'.  It is NSD
     because c <= n' always holds (see the module docstring), so every
-    quadratic check passes by this closed form.  Only the contractions
-    are kept: the enumerated family bucketed by |J|, each bucket sorted
-    by zpart.  That is all the JSON text needs.  The checks themselves
-    are built on demand, in canonical order, each J with |J| <= n - 2
-    giving n - |J| of them; see _matroid_quadratic_checks for the
-    parallel classes.
+    quadratic check passes by this closed form.  The certificate keeps
+    the matroid alone, and its number of checks is a closed form in the
+    counts I_k: each independent J with |J| <= n - 2 gives n - |J| checks.
+    No check, z-part or parallel class is computed here.
 
     Ground sets with fewer than 2 elements are accepted with an empty
     check list: the polynomial has degree below 2 and all its
@@ -635,42 +632,62 @@ def certify_clc_matroid(m: Matroid) -> CLCCertificate:
     nv = m.ambient + 1
     if n < 2:
         return CLCCertificate(True, nv, n, (), None)
-    family = m.independent_set_masks()
+    counts = m.count_independent_by_size()[: n - 1]
+    checks = _LazyChecks(
+        sum((n - size) * count for size, count in enumerate(counts)),
+        lambda: _matroid_checks(m),
+    )
+    return CLCCertificate(True, nv, n, checks, None, _matroid=m)
+
+
+def _matroid_walk(m: Matroid):
+    """The canonical order of the checks of g_M: by |alpha| = k + |J|,
+    then k, then zpart, the z-part of alpha.
+
+    Yields one run per (|alpha|, k) as (k, js, quadratic): js lists
+    (zpart, J) for the independent masks J of size |alpha| - k, sorted by
+    zpart, with zpart the JSON text of the z-part ("0,1,0", element 1
+    first); quadratic when |alpha| = n - 2, the last level.  The runs of
+    one size share one list, so each J is formatted once.
+    """
+    n = m.n_elements
     # the z-part of J as 0/1 digits, element 1 first: sorts like the tuple
-    zformat = f"0{nv - 1}b"
+    zformat = f"0{m.ambient}b"
     buckets = [[] for _ in range(n - 1)]
-    for jmask in family:
+    for jmask in m.independent_set_masks():
         size = jmask.bit_count()
         if size <= n - 2:
-            buckets[size].append((format(jmask, zformat)[::-1], jmask))
+            buckets[size].append((",".join(format(jmask, zformat)[::-1]), jmask))
     for bucket in buckets:
         bucket.sort()
-
-    def quadratics():
-        return _matroid_quadratic_checks(m, family, buckets)
-
-    checks = _LazyChecks(
-        sum((n - size) * len(bucket) for size, bucket in enumerate(buckets)),
-        lambda: _matroid_checks(n, buckets, quadratics()),
-    )
-    return CLCCertificate(True, nv, n, checks, None, _buckets=buckets, _quadratics=quadratics)
+    for t in range(n - 1):
+        for k in range(t + 1):
+            yield k, buckets[t - k], t == n - 2
 
 
-def _matroid_quadratic_checks(m: Matroid, family: frozenset, buckets: list):
-    """The quadratic checks of g_M in canonical order: by k, then zpart.
+def _matroid_checks(m: Matroid, indecomposable: bool = True):
+    """The checks of g_M in canonical order, at each quadratic alpha the
+    indecomposable check before the quadratic one; the quadratic checks
+    alone when ``indecomposable`` is false.
 
-    One class pass per J reads the parallel classes of M/J off the
-    one-step extension masks of the family, O(n) lookups per J.  Element
-    matrices are shared between contractions with the same n' and class
-    pattern.
+    One class pass per quadratic J reads the parallel classes of M/J off
+    the one-step extension masks of the family, O(n) lookups per J.
+    Element matrices are shared between contractions with the same n' and
+    class pattern.
     """
-    ext = _extensions(family).__getitem__
+    ext = _extensions(m.independent_set_masks()).__getitem__
     matrices = {}
-    # k counts the y-derivatives, so M/J has n' = n - |J| = k + 2 elements
-    for k, bucket in enumerate(reversed(buckets)):
+    for k, js, quadratic in _matroid_walk(m):
+        if not (indecomposable or quadratic):
+            continue
+        # k counts the y-derivatives, so a quadratic M/J has n' = k + 2 elements
         nprime = k + 2
-        for zpart, jmask in bucket:
-            alpha = (k,) + tuple(map(int, zpart))
+        for zpart, jmask in js:
+            alpha = (k, *map(int, zpart[::2]))
+            if indecomposable:
+                yield CertificateCheck(alpha, "indecomposable", True)
+            if not quadratic:
+                continue
             nonloops, pattern = m._classes_after(jmask, ext)
             if not nonloops:
                 yield CertificateCheck(alpha, "quadratic-nsd", True)
@@ -684,46 +701,27 @@ def _matroid_quadratic_checks(m: Matroid, family: frozenset, buckets: list):
             )
 
 
-def _matroid_checks(n: int, buckets: list, quadratics):
-    """The checks of g_M in canonical order: by |alpha| = k + |J|, then
-    k, then zpart, and at each quadratic alpha the indecomposable check
-    before the quadratic one."""
-    # each J's z-part as a tuple, built once: it serves n - |J| - 2 checks
-    zparts = [[tuple(map(int, zpart)) for zpart, _ in bucket] for bucket in buckets[:-1]]
-    for t in range(n - 2):
-        for k in range(t + 1):
-            for zpart in zparts[t - k]:
-                yield CertificateCheck((k,) + zpart, "indecomposable", True)
-    for quad in quadratics:
-        yield CertificateCheck(quad.alpha, "indecomposable", True)
-        yield quad
-
-
 # contractions per piece of certificate text, about 300 KB
 _JSON_BATCH = 4096
 
 
-def _matroid_checks_json(n: int, buckets: list):
+def _matroid_checks_json(m: Matroid):
     """The JSON text of _matroid_checks, comma-separated and in the same
     order, joined in pieces of at most _JSON_BATCH contractions.  Every
     check passes and carries no witness, so its text is its alpha."""
     ind = '],"kind":"indecomposable","result":true}'
     quad = '],"kind":"quadratic-nsd","result":true}'
-    zparts = [[",".join(zpart) for zpart, _ in bucket] for bucket in buckets]
     sep = ""
-    for t in range(n - 1):
-        quadratic = t == n - 2
+    for k, js, quadratic in _matroid_walk(m):
+        head = '{"alpha":[%d,' % k
         tail = quad if quadratic else ind
-        for k in range(t + 1):
-            head = '{"alpha":[%d,' % k
-            zs = zparts[t - k]
-            for start in range(0, len(zs), _JSON_BATCH):
-                batch = zs[start : start + _JSON_BATCH]
-                if quadratic:
-                    # each J: its indecomposable check, then its quadratic one
-                    batch = [z + ind + "," + head + z for z in batch]
-                yield sep + head + (tail + "," + head).join(batch) + tail
-                sep = ","
+        for start in range(0, len(js), _JSON_BATCH):
+            batch = [zpart for zpart, _ in js[start : start + _JSON_BATCH]]
+            if quadratic:
+                # each J: its indecomposable check, then its quadratic one
+                batch = [z + ind + "," + head + z for z in batch]
+            yield sep + head + (tail + "," + head).join(batch) + tail
+            sep = ","
 
 
 def verify_certificate_failure(cert: CLCCertificate, f: SparsePolynomial) -> bool:

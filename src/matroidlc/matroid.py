@@ -308,9 +308,6 @@ class ExplicitMatroid(Matroid):
         mask |= 1 << (e - 1)
         return mask if mask in self._family_cache else None
 
-    def _enumerate_masks(self) -> Iterable[int]:
-        return self._family_cache
-
     def to_json(self) -> dict:
         sets = sorted((sorted(_mask_bits(m)) for m in self._family_cache), key=lambda s: (len(s), s))
         return {"kind": "explicit", "n": self.ambient, "sets": [list(s) for s in sets]}
@@ -341,7 +338,9 @@ class GraphicMatroid(Matroid):
     """Edges of a multigraph; independent sets are the cycle-free ones.
 
     Element i is the i-th edge of the list.  Self-loop edges are matroid
-    loops, repeated edges form parallel classes.
+    loops, repeated edges form parallel classes.  A state is a union-find
+    forest over the endpoints that occur, numbered in order of first
+    appearance, so its size does not grow with ``vertices``.
     """
 
     kind = "graphic"
@@ -356,13 +355,16 @@ class GraphicMatroid(Matroid):
         super().__init__((1 << len(edges)) - 1, len(edges))
         self.vertices = vertices
         self.edges = tuple((u, v) for u, v in edges)
+        index = {x: i for i, x in enumerate(dict.fromkeys(x for edge in self.edges for x in edge))}
+        self._ends = tuple((index[u], index[v]) for u, v in self.edges)
+        self._nodes = len(index)
 
     def _start(self):
-        return list(range(self.vertices + 1))
+        return list(range(self._nodes))
 
     def _extend(self, parent, e):
         # path halving in _find moves pointers but keeps every root
-        u, v = self.edges[e - 1]
+        u, v = self._ends[e - 1]
         ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             return None

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -310,6 +311,43 @@ def test_certify_matroid_input(write_json, capsys):
     kinds = {check["kind"] for check in payload["checks"]}
     assert kinds == {"indecomposable", "quadratic-nsd"}
     assert "accepted" in err
+
+
+# sha256 of stdout, recorded before matroid certificates kept their matroid
+# in place of the sorted contractions
+PINNED_STDOUT = {
+    ("certify-clc", "u6_12"): "e6992a17f6adeeb294ba2a3218ed611147574817c5118342b1cbbab31bead4fb",
+    ("mason", "u6_12"): "e2787264fc1a2384d9e53a14aaf4add6f9cb6967f7146ba5d39ea7a9ec315d3b",
+    ("certify-clc", "k4"): "c7a6f157a998879184092df1dd005b0bcc70ac848e52e557cf103dfd7c778e03",
+    ("mason", "k4"): "b655f6cd913ac9360e16959b276eb1112a01213a1a6652ec2fb05b09e178151d",
+    ("certify-clc", "loop_parallel"): "17902f8f3dede3678b87d8a415e6154cc6c04a8fc35fb6916b836eaf421e3c35",
+    ("mason", "loop_parallel"): "d40c5ec53a9c5030f104eb6166f3eb4b875d5cea5e6f13353ea31c4f7eed7049",
+}
+PINNED_INPUTS = {
+    "u6_12": {"kind": "uniform", "r": 6, "n": 12},
+    "k4": {"kind": "graphic", "vertices": 4, "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]},
+    # element 1 is a loop, 2 and 3 are parallel, 4 is free
+    "loop_parallel": {"kind": "explicit", "n": 4, "sets": [[], [2], [3], [4], [2, 4], [3, 4]]},
+}
+
+
+@pytest.mark.parametrize("command, name", PINNED_STDOUT, ids="-".join)
+def test_matroid_outputs_are_pinned(write_json, capsys, command, name):
+    code = cli.main([command, "--input", write_json("m.json", PINNED_INPUTS[name])])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command, name]
+
+
+def test_graphic_output_does_not_depend_on_unused_vertices(write_json, capsys):
+    edges = [[1, 2], [1, 3], [2, 3], [3, 4], [4, 1], [2, 4], [4, 4]]
+    for command in ("rank-sequence", "certify-clc"):
+        outs = []
+        for vertices in (6, 100_000):
+            obj = {"kind": "graphic", "vertices": vertices, "edges": edges}
+            code = cli.main([command, "--input", write_json("g.json", obj)])
+            outs.append((code, capsys.readouterr().out))
+        assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 def test_certify_polynomial_rejection_carries_verified_witness(write_json, capsys):
@@ -628,6 +666,13 @@ def test_enumeration_bound_flag_and_env(write_json, capsys, monkeypatch, command
     assert code == 0
 
 
+def test_corpus_ignores_enumeration_bound_variable(capsys, monkeypatch):
+    expected = invoke(capsys, SMALL_CORPUS)
+    monkeypatch.setenv(cli.ENV_ENUMERATION_BOUND, "not a number")
+    assert invoke(capsys, SMALL_CORPUS) == expected
+    assert expected[0] == 0
+
+
 def test_enumeration_bound_hard_cap(write_json, capsys):
     big = write_json("big.json", {"kind": "uniform", "r": 1, "n": 21})
     code, payload, _ = invoke(
@@ -753,6 +798,13 @@ def test_zero_denominator_is_schema_error(write_json, capsys, args, name, obj):
         ["mason", "--seed", "x"],
         # refused before the 2^21 edge sets of seven vertices are searched
         ["corpus", "--graphic-max-vertices", "7"],
+        # a random instance draws its size from 1..max
+        ["corpus", "--linear-max-rows", "0"],
+        ["corpus", "--linear-max-cols", "0"],
+        ["corpus", "--explicit-max-n", "-1"],
+        ["corpus", "--explicit-max-n", "0"],
+        # corpus loads no matroid, so it has no enumeration bound
+        ["corpus", "--enumeration-bound", "3"],
     ],
 )
 def test_usage_errors_are_json(capsys, args):

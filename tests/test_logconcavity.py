@@ -36,6 +36,7 @@ from matroidlc import (
     log_concavity_condition_report,
     log_concavity_test_matrix,
     log_hessian_numerator,
+    mason_report,
     matroid_quadratic_matrix,
     sample_functional_log_concavity,
     spectral_nd_report,
@@ -476,15 +477,25 @@ def test_matroid_certificate_lengths_build_no_checks(monkeypatch):
     )
     passes = []
     real_pass = Matroid._classes_after
+    real_walk = logconcavity._matroid_walk
     monkeypatch.setattr(
         Matroid, "_classes_after", lambda *a, **kw: passes.append(1) or real_pass(*a, **kw)
     )
     m = uniform(6, 12)
-    cert = certify_clc_matroid(m)
     family = [j for j in m.independent_sets() if len(j) <= 10]
+
+    # the certificate, its lengths and its JSON without checks need no walk
+    # over the family: no z-part is formatted and nothing is sorted
+    def no_walk(m):
+        raise AssertionError("walked the family")
+
+    monkeypatch.setattr(logconcavity, "_matroid_walk", no_walk)
+    assert mason_report(m).certificate.accepted
+    cert = certify_clc_matroid(m)
     assert len(cert.checks) == sum(12 - len(j) for j in family)
     assert len(cert.quadratic_checks()) == len(family)
     assert cert.to_json(include_checks=False)["num_checks"] == len(cert.checks)
+    monkeypatch.setattr(logconcavity, "_matroid_walk", real_walk)
     assert "".join(cert._checks_json())
     assert built == [] and passes == []
     # the quadratic checks are built without the indecomposable ones, with

@@ -282,6 +282,16 @@ def test_graphic_family_matches_cycle_oracle():
     assert {frozenset(s) for s in m.independent_sets()} == expected
 
 
+def test_graphic_state_covers_only_occurring_endpoints():
+    # vertices 2 and 4..100000 touch no edge
+    edges = [(1, 3), (3, 5), (5, 1), (5, 5), (1, 3)]
+    m = graphic(100_000, edges)
+    assert len(m._start()) <= len({x for e in edges for x in e}) == 3
+    expected = forest_independence_family(len(edges), edges)
+    assert {frozenset(s) for s in m.independent_sets()} == expected
+    assert m.to_json()["vertices"] == 100_000
+
+
 @pytest.mark.parametrize("modulus", [0, 2, 3, 5])
 def test_linear_family_matches_gaussian_oracle(modulus):
     rng = random.Random(modulus + 17)
