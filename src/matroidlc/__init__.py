@@ -8,14 +8,7 @@ exact rationals.  Floating point appears only in clearly marked
 spectral diagnostics.
 """
 
-from .corpus import (
-    SCHEMA_VERSION,
-    CorpusConfig,
-    analyze_instance,
-    connected_graphs,
-    corpus_instances,
-    run_sweep,
-)
+from .corpus import CorpusConfig, corpus_instances, run_sweep
 from .errors import (
     AllLoops,
     AxiomViolation,
@@ -37,49 +30,20 @@ from .errors import (
     NotIndependent,
     ZeroAtPoint,
 )
-from .linalg import (
-    NsdResult,
-    SymmetricMatrix,
-    float_eigenvalues,
-    is_negative_semidefinite,
-)
+from .linalg import SymmetricMatrix, is_negative_semidefinite
 from .logconcavity import (
-    CertificateCheck,
-    CLCCertificate,
-    FunctionalSampleReport,
-    IndecomposabilityResult,
-    LogConcavityConditionReport,
-    SpectralReport,
     certify_clc_matroid,
     certify_clc_quadratic_criterion,
-    is_indecomposable,
-    log_concave_at,
     log_concavity_condition_report,
     log_concavity_test_matrix,
-    log_hessian_numerator,
     matroid_quadratic_matrix,
     sample_functional_log_concavity,
     spectral_nd_report,
     verify_certificate_failure,
 )
-from .mason import (
-    FormComparison,
-    MasonReport,
-    MinorCheck,
-    RankSequenceReport,
-    UlcEntry,
-    check_ultra_log_concave,
-    gurvits_minor_checks,
-    mason_report,
-)
+from .mason import check_ultra_log_concave, gurvits_minor_checks, mason_report
 from .matroid import (
-    DEFAULT_ENUMERATION_LIMIT,
-    ExplicitMatroid,
-    GraphicMatroid,
-    LinearMatroid,
     Matroid,
-    ParallelPartition,
-    UniformMatroid,
     from_independence_family,
     graphic,
     linear,
@@ -94,16 +58,14 @@ from .polynomial import (
     independence_polynomial,
     matroid_variable_names,
     polynomial_from_json,
-    polynomial_to_json,
 )
 
 __version__ = "0.1.0"
 
+# What the README, the demos and the acceptance suite use, and every
+# error the package raises; tests import the rest from its submodule.
 __all__ = [
-    "SCHEMA_VERSION",
     "CorpusConfig",
-    "analyze_instance",
-    "connected_graphs",
     "corpus_instances",
     "run_sweep",
     "AllLoops",
@@ -125,42 +87,20 @@ __all__ = [
     "NotHomogeneous",
     "NotIndependent",
     "ZeroAtPoint",
-    "NsdResult",
     "SymmetricMatrix",
-    "float_eigenvalues",
     "is_negative_semidefinite",
-    "CertificateCheck",
-    "CLCCertificate",
-    "FunctionalSampleReport",
-    "IndecomposabilityResult",
-    "LogConcavityConditionReport",
-    "SpectralReport",
     "certify_clc_matroid",
     "certify_clc_quadratic_criterion",
-    "is_indecomposable",
-    "log_concave_at",
     "log_concavity_condition_report",
     "log_concavity_test_matrix",
-    "log_hessian_numerator",
     "matroid_quadratic_matrix",
     "sample_functional_log_concavity",
     "spectral_nd_report",
     "verify_certificate_failure",
-    "FormComparison",
-    "MasonReport",
-    "MinorCheck",
-    "RankSequenceReport",
-    "UlcEntry",
     "check_ultra_log_concave",
     "gurvits_minor_checks",
     "mason_report",
-    "DEFAULT_ENUMERATION_LIMIT",
-    "ExplicitMatroid",
-    "GraphicMatroid",
-    "LinearMatroid",
     "Matroid",
-    "ParallelPartition",
-    "UniformMatroid",
     "from_independence_family",
     "graphic",
     "linear",
@@ -173,5 +113,4 @@ __all__ = [
     "independence_polynomial",
     "matroid_variable_names",
     "polynomial_from_json",
-    "polynomial_to_json",
 ]

@@ -17,15 +17,16 @@ one-line human summary goes to standard error.  JSON is compact with
 sorted keys, so identical config and seed give byte-identical output.
 Exit codes: 0 every verdict positive, 1 a verdict failed (the JSON
 carries a re-verified witness), 2 usage or input error (the JSON is a
-machine-readable error object).  The enumeration bound, 20 elements by
-default and at most 24, is set per run with --enumeration-bound or the
-MATROIDLC_ENUMERATION_BOUND variable and applied once, as a matroid is
-loaded: an explicit n above it is refused before the family is built,
-and every command but validate enumerates the family there.  corpus
-loads no matroid, so it takes no bound and ignores the variable.  A --poly
-input has at most MAX_POLY_NVARS = 25 variables, and a rational literal
-is bounded by matroid.parse_rational; a result too long to print is an
-OutputError.
+machine-readable error object; an --output file that cannot be written
+is a FileError reported on standard output), 3 standard output cannot
+be written (one line on standard error, no JSON).  The enumeration
+bound, 20 elements by default and at most 24, is set per run with
+--enumeration-bound and applied once, as a matroid is loaded: an
+explicit n above it is refused before the family is built, and every
+command but validate enumerates the family there.  corpus loads no
+matroid, so it takes no bound.  A --poly input has at most
+MAX_POLY_NVARS = 25 variables, and a rational literal is bounded by
+matroid.parse_rational; a result too long to print is an OutputError.
 
 The parser alone declares each setting: its flag, the namespace
 attribute it lands in and its default.  Handlers read that namespace;
@@ -36,6 +37,7 @@ the corpus flags are generated from the CorpusConfig fields, and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -69,7 +71,6 @@ MAX_ENUMERATION_BOUND = 24
 # g_M of the largest enumerable ground set has this many variables; a
 # --poly input may have no more, since its Hessian has nvars^2 entries.
 MAX_POLY_NVARS = MAX_ENUMERATION_BOUND + 1
-ENV_ENUMERATION_BOUND = "MATROIDLC_ENUMERATION_BOUND"
 
 
 class _InputError(Exception):
@@ -78,6 +79,10 @@ class _InputError(Exception):
     def __init__(self, type_name: str, message: str):
         super().__init__(message)
         self.type_name = type_name
+
+
+class _StdoutError(Exception):
+    """Standard output cannot be written; main reports it with exit 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,11 +105,17 @@ def _emit(args: argparse.Namespace, payload: dict, summary: str, checks=None) ->
     payload.setdefault("seed", args.seed)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if args.output_path:
-        with open(args.output_path, "w", encoding="utf-8") as fh:
-            _write_line(fh, text, checks)
+        try:
+            with open(args.output_path, "w", encoding="utf-8") as fh:
+                _write_line(fh, text, checks)
+        except OSError as exc:
+            raise _InputError("FileError", f"cannot write {args.output_path}: {exc}") from exc
     else:
-        _write_line(sys.stdout, text, checks)
-        sys.stdout.flush()
+        try:
+            _write_line(sys.stdout, text, checks)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise _StdoutError(exc) from exc
     print(summary, file=sys.stderr)
 
 
@@ -129,12 +140,12 @@ def _emit_error(args: argparse.Namespace, exc: Exception) -> int:
     return 2
 
 
-def _json_of(result, **kwargs) -> dict:
-    """result.to_json(**kwargs); an exact value with more digits than
-    str() writes (sys.get_int_max_str_digits()) is an input error, raised
+def _json_of(result) -> dict:
+    """result.to_json(); an exact value with more digits than str()
+    writes (sys.get_int_max_str_digits()) is an input error, raised
     before any output."""
     try:
-        return result.to_json(**kwargs)
+        return result.to_json()
     except ValueError as exc:
         raise _InputError("OutputError", f"result cannot be written: {exc}") from exc
 
@@ -314,7 +325,7 @@ def _cmd_certify_clc(args: argparse.Namespace) -> int:
     else:
         source = _load_polynomial(args)
         cert = certify_clc_quadratic_criterion(source)
-    payload = _json_of(cert, include_checks=False)
+    payload = _json_of(cert)
     if not cert.accepted:
         if not verify_certificate_failure(cert, source):
             raise _InputError("ConsistencyError", "witness failed re-verification")
@@ -399,7 +410,11 @@ def run(args: argparse.Namespace) -> int:
             )
         return _HANDLERS[args.command](args)
     except (_InputError, MatroidLCError) as exc:
-        return _emit_error(args, exc)
+        try:
+            return _emit_error(args, exc)
+        except _InputError as failed:
+            # the --output file cannot be written: report that on stdout
+            return _emit_error(argparse.Namespace(**{**vars(args), "output_path": None}), failed)
 
 
 @functools.cache
@@ -409,8 +424,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="matroidlc",
         description="Exact matroid log-concavity toolkit (JSON in, JSON out).",
     )
-    # the sources and spectral settings of the commands that take none
-    parser.set_defaults(input_path=None, poly_path=None, point=None, use_bases=False)
+    # the sources, bound and spectral settings of the commands that take none
+    parser.set_defaults(
+        input_path=None, poly_path=None, enumeration_bound=None, point=None, use_bases=False
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_input=True, poly=False):
@@ -422,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         if needs_input:  # corpus loads no matroid, so it has no bound to set
             p.add_argument(
-                "--enumeration-bound", type=int,
+                "--enumeration-bound", type=int, default=DEFAULT_ENUMERATION_LIMIT,
                 help=f"max ground-set size for enumeration (<= {MAX_ENUMERATION_BOUND})",
             )
         p.add_argument("--seed", type=int, default=0, help="seed recorded in output")
@@ -457,37 +474,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_bound(args: argparse.Namespace) -> Optional[int]:
-    """The flag, else the environment variable, else the default; None
-    for corpus, the one command that loads no matroid and takes no bound."""
-    if not hasattr(args, "enumeration_bound"):
-        return None
-    if args.enumeration_bound is not None:
-        return args.enumeration_bound
-    env = os.environ.get(ENV_ENUMERATION_BOUND)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise _InputError(
-                "UsageError", f"{ENV_ENUMERATION_BOUND}={env!r} is not an integer"
-            ) from exc
-    return DEFAULT_ENUMERATION_LIMIT
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-        args.enumeration_bound = _resolve_bound(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except _InputError as exc:
-        # the run's settings are not known yet: report on stdout, seed 0
-        command = next((a for a in argv if a in _HANDLERS), parser.prog)
-        return _emit_error(argparse.Namespace(command=command, output_path=None, seed=0), exc)
-    return run(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        except _InputError as exc:
+            # the run's settings are not known yet: report on stdout, seed 0
+            command = next((a for a in argv if a in _HANDLERS), parser.prog)
+            return _emit_error(argparse.Namespace(command=command, output_path=None, seed=0), exc)
+        return run(args)
+    except _StdoutError as exc:
+        # what is still buffered goes to the null device, so that the
+        # interpreter's flush at exit cannot fail again
+        with contextlib.suppress(OSError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print(f"matroidlc: cannot write standard output: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -44,16 +44,6 @@ class SymmetricMatrix:
         self.dim = dim
         self._rows = rows
 
-    @classmethod
-    def zeros(cls, dim: int) -> "SymmetricMatrix":
-        return cls([[0] * dim for _ in range(dim)])
-
-    @classmethod
-    def outer(cls, v: Sequence) -> "SymmetricMatrix":
-        """Rank one matrix v v^T."""
-        v = [_as_fraction(x) for x in v]
-        return cls([[a * b for b in v] for a in v])
-
     def rows(self) -> tuple:
         return self._rows
 
@@ -71,25 +61,9 @@ class SymmetricMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
         return f"SymmetricMatrix([{body}])"
 
-    def __add__(self, other: "SymmetricMatrix") -> "SymmetricMatrix":
-        self._check_dim(other)
-        return SymmetricMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
-
-    def __sub__(self, other: "SymmetricMatrix") -> "SymmetricMatrix":
-        self._check_dim(other)
-        return SymmetricMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
-
     def scaled(self, c) -> "SymmetricMatrix":
         c = _as_fraction(c)
         return SymmetricMatrix([[c * x for x in row] for row in self._rows])
-
-    def _check_dim(self, other: "SymmetricMatrix") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
 
     def matvec(self, v: Sequence) -> tuple:
         if len(v) != self.dim:
@@ -105,9 +79,6 @@ class SymmetricMatrix:
     def restricted(self, indices: Sequence[int]) -> "SymmetricMatrix":
         """Principal submatrix on the given index list, in the given order."""
         return SymmetricMatrix([[self._rows[i][j] for j in indices] for i in indices])
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self._rows for x in row)
 
     def to_float_array(self, scale=1) -> "numpy.ndarray":
         """The entries divided by ``scale``, each rounded once from its

@@ -105,16 +105,6 @@ def _require_nonneg_homogeneous(f: SparsePolynomial) -> None:
         raise NotHomogeneous("polynomial is not homogeneous")
 
 
-def log_hessian_numerator(f: SparsePolynomial, a: Sequence) -> SymmetricMatrix:
-    """f(a) * Hess f(a) - grad f(a) grad f(a)^T.
-
-    The Hessian of log f at a equals this divided by f(a)^2, so the two
-    share definiteness whenever f(a) != 0.
-    """
-    a = _rational_point(f, a, require_nonneg=False)
-    return _pair_matrix(f, a)[1]
-
-
 def _rank_one_update(q_rows: Sequence, s, v: Sequence) -> SymmetricMatrix:
     """s Q - v v^T for the rows of a symmetric Q."""
     return SymmetricMatrix([[s * q - x * y for q, y in zip(row, v)] for row, x in zip(q_rows, v)])
@@ -158,36 +148,13 @@ def log_concave_at(f: SparsePolynomial, a: Sequence) -> bool:
 # -- indecomposability ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndecomposabilityResult:
-    """Connectivity verdict for the mixed-partial graph of f.
-
-    On failure ``partition`` splits the active variables into two
-    nonempty groups with no term of f touching both.
-    """
-
-    is_indecomposable: bool
-    partition: Optional[tuple]
-
-    def __bool__(self) -> bool:
-        return self.is_indecomposable
-
-
-def is_indecomposable(f: SparsePolynomial) -> IndecomposabilityResult:
-    """Connectivity of active variables under shared-monomial edges.
-
-    d2 f / dx_i dx_j is nonzero exactly when some term contains both
-    variables (monomial derivatives cannot cancel), so each term's
-    support is a clique.  Polynomials with at most one active variable
-    count as indecomposable.
-    """
-    partition = _split(f.terms, f.nvars)
-    return IndecomposabilityResult(partition is None, partition)
-
-
 def _split(exps, nvars: int) -> Optional[tuple]:
     """None when the supports of the exponent vectors connect their
-    variables, else the component of the smallest one and the rest."""
+    variables, else the component of the smallest one and the rest.
+
+    d2 f / dx_i dx_j is nonzero exactly when some term contains both
+    variables (monomial derivatives cannot cancel), so each support is
+    a clique of the mixed-partial graph."""
     parent = list(range(nvars))
     active = set()
     for exp in exps:
@@ -493,15 +460,15 @@ class CLCCertificate:
         else:
             yield from _matroid_checks_json(self._matroid)
 
-    def to_json(self, include_checks: bool = True) -> dict:
+    def to_json(self) -> dict:
+        """The verdict and its sizes; the checks themselves are written
+        only as text, by _checks_json."""
         out = {
             "verdict": self.verdict,
             "nvars": self.nvars,
             "degree": self.degree,
             "num_checks": len(self.checks),
         }
-        if include_checks:
-            out["checks"] = [c.to_json() for c in self.checks]
         if self.failure is not None:
             out["failure"] = self.failure.to_json()
         return out

@@ -256,7 +256,7 @@ class MasonReport:
             "n": self.n,
             "sequence": list(self.sequence),
             "ulc": self.ulc.to_json(),
-            "certificate": self.certificate.to_json(include_checks=False),
+            "certificate": self.certificate.to_json(),
             "minor_checks": [m.to_json() for m in self.minor_checks],
             "consistent": self.consistent,
         }

@@ -7,8 +7,7 @@ values are stored alike and the integer case never pays for Fraction
 arithmetic.  Values at a rational point are returned as Fractions.
 Zero coefficients are dropped on construction, so the zero polynomial is
 the empty mapping and equality is plain dict equality.  The canonical term
-order used for serialization and printing is ascending total degree with
-lexicographic ties.
+order used for printing is ascending total degree with lexicographic ties.
 
 Matroid generating polynomials follow one fixed variable convention:
 variable 0 is the homogenizing variable y and variable i (1-based) is
@@ -30,7 +29,7 @@ from math import perm
 from types import MappingProxyType
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatch, NotHomogeneous
+from .errors import DimensionMismatch
 from .linalg import SymmetricMatrix
 from .matroid import Matroid, parse_rational
 
@@ -111,26 +110,8 @@ class SparsePolynomial:
         degrees = {sum(e) for e in self._terms}
         return len(degrees) <= 1
 
-    def homogeneous_degree(self) -> int:
-        if not self.is_homogeneous():
-            raise NotHomogeneous("polynomial mixes total degrees")
-        return self.total_degree()
-
     def has_nonnegative_coefficients(self) -> bool:
         return all(c > 0 for c in self._terms.values())
-
-    def active_variables(self) -> frozenset:
-        """Variables with a nonzero partial derivative.
-
-        Monomials differentiate to distinct monomials, so no
-        cancellation can hide a variable that appears in some term.
-        """
-        out = set()
-        for exp in self._terms:
-            for i, e in enumerate(exp):
-                if e:
-                    out.add(i)
-        return frozenset(out)
 
     def canonical_items(self) -> list:
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -178,18 +159,6 @@ class SparsePolynomial:
         return SparsePolynomial(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "SparsePolynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        result = SparsePolynomial.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self.nvars}, {format_polynomial(self)!r})"
@@ -319,62 +288,6 @@ class SparsePolynomial:
             [[values.get((min(i, j), max(i, j)), 0) for j in range(n)] for i in range(n)]
         )
 
-    # -- substitution ----------------------------------------------------------
-
-    def substitute_affine(
-        self,
-        matrix: Sequence[Sequence],
-        offset: Sequence,
-        nvars_out: Optional[int] = None,
-    ) -> "SparsePolynomial":
-        """Compose with the affine map x = A u + b.
-
-        ``matrix`` has one row per current variable, one column per new
-        variable; ``offset`` has one entry per current variable.  When A
-        and b are entrywise nonnegative this substitution preserves
-        nonnegativity of coefficients and complete log-concavity.
-        """
-        rows = [tuple(_as_coeff(x) for x in row) for row in matrix]
-        if len(rows) != self.nvars:
-            raise DimensionMismatch(f"{len(rows)} matrix rows for {self.nvars} variables")
-        if len(offset) != self.nvars:
-            raise DimensionMismatch(f"{len(offset)} offsets for {self.nvars} variables")
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise DimensionMismatch("matrix rows have unequal lengths")
-        m = widths.pop() if widths else (0 if nvars_out is None else nvars_out)
-        if nvars_out is not None and nvars_out != m:
-            raise DimensionMismatch(f"matrix has {m} columns but nvars_out={nvars_out}")
-        offset = [_as_coeff(x) for x in offset]
-        images = []
-        for i in range(self.nvars):
-            img = {}
-            if offset[i]:
-                img[(0,) * m] = offset[i]
-            for j, a in enumerate(rows[i]):
-                if a:
-                    exp = [0] * m
-                    exp[j] = 1
-                    img[tuple(exp)] = a
-            images.append(SparsePolynomial(m, img))
-        power_cache: dict = {}
-
-        def img_power(i: int, e: int) -> SparsePolynomial:
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = images[i] ** e
-            return power_cache[key]
-
-        result = SparsePolynomial.zero(m)
-        for exp, c in self._terms.items():
-            term = SparsePolynomial.constant(m, c)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * img_power(i, e)
-            result = result + term
-        return result
-
-
 def format_polynomial(f: SparsePolynomial, names: Optional[Sequence[str]] = None) -> str:
     """Readable rendering, leading terms first."""
     if f.is_zero():
@@ -452,15 +365,6 @@ def bivariate_restriction(m: Matroid) -> SparsePolynomial:
 
 
 # -- JSON ----------------------------------------------------------------
-
-
-def polynomial_to_json(f: SparsePolynomial) -> dict:
-    return {
-        "nvars": f.nvars,
-        "terms": [
-            {"exp": list(exp), "coeff": str(c)} for exp, c in f.canonical_items()
-        ],
-    }
 
 
 def polynomial_from_json(obj: dict) -> SparsePolynomial:

@@ -14,23 +14,20 @@ from itertools import chain, combinations, combinations_with_replacement
 from math import perm
 
 from matroidlc import (
-    CertificateCheck,
-    CLCCertificate,
     ConsistencyError,
     DegreeTooLow,
     NegativeCoefficient,
     NotHomogeneous,
-    NsdResult,
     SparsePolynomial,
     from_independence_family,
     graphic,
-    is_indecomposable,
     is_negative_semidefinite,
     linear,
     log_concavity_test_matrix,
     uniform,
 )
-from matroidlc.linalg import _primitive
+from matroidlc.linalg import NsdResult, _primitive
+from matroidlc.logconcavity import CertificateCheck, CLCCertificate
 
 
 def powerset(items):
@@ -320,6 +317,20 @@ def _quadratic_log_concave(q: SparsePolynomial):
     return res, matrix
 
 
+def variable_split(f: SparsePolynomial):
+    """None when the variables of f are connected through shared terms,
+    else the component of the smallest variable and the other variables;
+    components are grown from that variable one whole term at a time."""
+    supports = [frozenset(i for i, e in enumerate(exp) if e) for exp in f.terms]
+    variables = frozenset().union(*supports)
+    reached = {min(variables)} if variables else set()
+    while any(s & reached and not s <= reached for s in supports):
+        reached.update(*(s for s in supports if s & reached))
+    if reached == variables:
+        return None
+    return frozenset(reached), variables - reached
+
+
 def reference_certificate(f: SparsePolynomial) -> CLCCertificate:
     """Certify complete log-concavity of a general homogeneous f.
 
@@ -346,11 +357,11 @@ def reference_certificate(f: SparsePolynomial) -> CLCCertificate:
         last = ell == d - 2
         for alpha in sorted(level):
             fa = level[alpha]
-            ind = is_indecomposable(fa)
+            split = variable_split(fa)
             checks.append(
-                CertificateCheck(alpha, "indecomposable", bool(ind), witness_partition=ind.partition)
+                CertificateCheck(alpha, "indecomposable", split is None, witness_partition=split)
             )
-            if not ind:
+            if split is not None:
                 failure = checks[-1]
                 break
             if last:
@@ -386,3 +397,19 @@ def reference_certificate(f: SparsePolynomial) -> CLCCertificate:
         checks=tuple(checks),
         failure=failure,
     )
+
+
+# -- JSON writers ----------------------------------------------------------------
+
+
+def polynomial_to_json(f: SparsePolynomial) -> dict:
+    """The --poly input object of f, terms in canonical order."""
+    return {
+        "nvars": f.nvars,
+        "terms": [{"exp": list(exp), "coeff": str(c)} for exp, c in f.canonical_items()],
+    }
+
+
+def certificate_json(cert: CLCCertificate) -> dict:
+    """The certificate's JSON with its checks, as certify-clc writes it."""
+    return {**cert.to_json(), "checks": [c.to_json() for c in cert.checks]}

@@ -19,21 +19,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import brute_axiom_failure, powerset
+from helpers import brute_axiom_failure, polynomial_to_json, powerset
 from matroidlc import (
     CorpusConfig,
     certify_clc_matroid,
     certify_clc_quadratic_criterion,
     cli,
-    connected_graphs,
     independence_polynomial,
     logconcavity,
     matroid_from_json,
     polynomial_from_json,
-    polynomial_to_json,
 )
 from matroidlc import matroid as matroid_module
-from matroidlc.corpus import SPECTRAL_TOLERANCE
+from matroidlc.corpus import SPECTRAL_TOLERANCE, connected_graphs
 
 U23 = {"kind": "uniform", "r": 2, "n": 3}
 K3 = {"kind": "graphic", "vertices": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
@@ -396,7 +394,7 @@ def test_streamed_certificate_equals_library_json(
         cert = certify_clc_matroid(matroid_from_json(obj))
     else:
         cert = certify_clc_quadratic_criterion(polynomial_from_json(obj))
-    payload = cert.to_json()
+    payload = helpers.certificate_json(cert)
     if not cert.accepted:
         payload["failure"]["reverified"] = True
     payload.update(schema_version=1, command="certify-clc", seed=0)
@@ -582,6 +580,52 @@ def test_missing_file_is_input_error(capsys):
     assert payload["error"]["type"] == "FileError"
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("input_path", ["m.json", "/nonexistent/m.json"], ids=["ok", "unreadable"])
+def test_unwritable_output_is_file_error_on_stdout(write_json, capsys, tmp_path, target, input_path):
+    # the error object cannot go to --output either, so it goes to stdout
+    write_json("m.json", U23)
+    args = ["rank-sequence", "--input", str(tmp_path / input_path)]
+    code, payload, err = invoke(capsys, args + ["--output", str(tmp_path / target)])
+    assert code == 2
+    assert payload["error"]["type"] == "FileError"
+    assert payload["error"]["message"].startswith(f"cannot write {tmp_path / target}: ")
+    assert err.count("\n") == 1
+
+
+def cli_process(args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.Popen([sys.executable, "-m", "matroidlc.cli", *args], env=env, **kwargs)
+
+
+def assert_stdout_error(code, err):
+    assert code == 3
+    assert err.startswith("matroidlc: cannot write standard output: ")
+    assert err.count("\n") == 1  # no traceback, nothing ignored at exit
+
+
+def test_closed_stdout_pipe_is_exit_3(write_json):
+    # about 270 kB of checks, more than a pipe holds
+    path = write_json("m.json", {"kind": "uniform", "r": 5, "n": 10})
+    proc = cli_process(
+        ["certify-clc", "--input", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert_stdout_error(proc.wait(), err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_is_exit_3(write_json, tmp_path):
+    path = write_json("m.json", U23)
+    with open("/dev/full", "w") as full, open(tmp_path / "err", "w+") as err:
+        code = cli_process(["rank-sequence", "--input", path], stdout=full, stderr=err).wait()
+        err.seek(0)
+        assert_stdout_error(code, err.read())
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -648,7 +692,7 @@ BOUND_COMMANDS = ("rank-sequence", "mason", "certify-clc", "spectral", "spectral
     # but the bound is applied as the matroid is loaded
     + [pytest.param("certify-clc", 1, ["--enumeration-bound", "0"], id="certify-clc-U(1,1)")],
 )
-def test_enumeration_bound_flag_and_env(write_json, capsys, monkeypatch, command, n, below):
+def test_enumeration_bound_flag(write_json, capsys, command, n, below):
     path = write_json("m.json", {"kind": "uniform", "r": 1, "n": n})
     argv = command.split() + ["--input", path]
     code, payload, _ = invoke(capsys, argv + below)
@@ -661,14 +705,19 @@ def test_enumeration_bound_flag_and_env(write_json, capsys, monkeypatch, command
     if command == "rank-sequence":
         assert payload["sequence"] == [1, n] + [0] * (n - 1)
 
-    monkeypatch.setenv(cli.ENV_ENUMERATION_BOUND, str(n))
-    code, payload, _ = invoke(capsys, argv)
-    assert code == 0
+
+def test_enumeration_bound_variable_is_ignored(write_json, capsys, monkeypatch):
+    # the flag alone sets the bound
+    monkeypatch.setenv("MATROIDLC_ENUMERATION_BOUND", "21")
+    path = write_json("m.json", {"kind": "uniform", "r": 1, "n": 21})
+    code, payload, _ = invoke(capsys, ["rank-sequence", "--input", path])
+    assert code == 2
+    assert payload["error"]["type"] == "EnumerationLimitExceeded"
 
 
 def test_corpus_ignores_enumeration_bound_variable(capsys, monkeypatch):
     expected = invoke(capsys, SMALL_CORPUS)
-    monkeypatch.setenv(cli.ENV_ENUMERATION_BOUND, "not a number")
+    monkeypatch.setenv("MATROIDLC_ENUMERATION_BOUND", "not a number")
     assert invoke(capsys, SMALL_CORPUS) == expected
     assert expected[0] == 0
 

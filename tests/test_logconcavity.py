@@ -23,19 +23,15 @@ from matroidlc import (
     SparsePolynomial,
     SymmetricMatrix,
     ZeroAtPoint,
-    analyze_instance,
     bases_polynomial,
     certify_clc_matroid,
     certify_clc_quadratic_criterion,
     corpus_instances,
     graphic,
     independence_polynomial,
-    is_indecomposable,
     is_negative_semidefinite,
-    log_concave_at,
     log_concavity_condition_report,
     log_concavity_test_matrix,
-    log_hessian_numerator,
     mason_report,
     matroid_quadratic_matrix,
     sample_functional_log_concavity,
@@ -44,6 +40,8 @@ from matroidlc import (
     verify_certificate_failure,
 )
 from matroidlc.cli import MAX_ENUMERATION_BOUND
+from matroidlc.corpus import analyze_instance
+from matroidlc.logconcavity import log_concave_at
 
 
 def P(nvars, terms):
@@ -52,6 +50,11 @@ def P(nvars, terms):
 
 def rows_int(matrix):
     return [[int(x) for x in row] for row in matrix.rows()]
+
+
+def pair_matrix(f, a):
+    """f(a) Hess f(a) - grad f(a) grad f(a)^T."""
+    return spectral_nd_report(f, a).pair_matrix
 
 
 Z1Z2 = P(2, {(1, 1): 1})
@@ -64,20 +67,20 @@ SQUARE = P(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
 def test_product_is_log_concave_with_pinned_matrices():
     assert log_concave_at(Z1Z2, (1, 1))
-    assert rows_int(log_hessian_numerator(Z1Z2, (1, 1))) == [[-1, 0], [0, -1]]
+    assert rows_int(pair_matrix(Z1Z2, (1, 1))) == [[-1, 0], [0, -1]]
     assert rows_int(log_concavity_test_matrix(Z1Z2, (1, 1))) == [[-1, 1], [1, -1]]
 
 
 def test_sum_of_squares_is_not_log_concave():
     assert not log_concave_at(SOS, (1, 1))
-    assert rows_int(log_hessian_numerator(SOS, (1, 1))) == [[0, -4], [-4, 0]]
+    assert rows_int(pair_matrix(SOS, (1, 1))) == [[0, -4], [-4, 0]]
     assert rows_int(log_concavity_test_matrix(SOS, (1, 1))) == [[4, -4], [-4, 4]]
 
 
 def test_perfect_square_is_log_concave():
     assert log_concave_at(SQUARE, (1, 1))
-    assert rows_int(log_hessian_numerator(SQUARE, (1, 1))) == [[-8, -8], [-8, -8]]
-    assert log_concavity_test_matrix(SQUARE, (1, 1)).is_zero()
+    assert rows_int(pair_matrix(SQUARE, (1, 1))) == [[-8, -8], [-8, -8]]
+    assert rows_int(log_concavity_test_matrix(SQUARE, (1, 1))) == [[0, 0], [0, 0]]
 
 
 def test_two_matrix_flavors_share_nsd_verdict():
@@ -85,7 +88,7 @@ def test_two_matrix_flavors_share_nsd_verdict():
     for _ in range(30):
         f = helpers.random_homogeneous_polynomial(rng, 3, 3)
         a = helpers.random_positive_point(rng, 3)
-        lhs = is_negative_semidefinite(log_hessian_numerator(f, a)).is_nsd
+        lhs = is_negative_semidefinite(pair_matrix(f, a)).is_nsd
         rhs = is_negative_semidefinite(log_concavity_test_matrix(f, a)).is_nsd
         assert lhs == rhs
 
@@ -164,24 +167,20 @@ def test_condition_report_json_shape():
 # -- indecomposability --------------------------------------------------------
 
 
-def test_connected_support_is_indecomposable():
-    assert is_indecomposable(Z1Z2)
-    assert is_indecomposable(independence_polynomial(uniform(1, 2)))
-
-
-def test_variable_split_is_detected():
-    res = is_indecomposable(SOS)
-    assert not res
-    assert res.partition == (frozenset({0}), frozenset({1}))
-
-
-def test_inactive_variables_are_ignored():
-    assert is_indecomposable(P(3, {(1, 1, 0): 1}))
-
-
-def test_few_active_variables_are_trivially_indecomposable():
-    assert is_indecomposable(P(3, {}))
-    assert is_indecomposable(P(3, {(0, 4, 0): 2}))
+@pytest.mark.parametrize(
+    "f, split",
+    [
+        (Z1Z2, None),
+        (independence_polynomial(uniform(1, 2)), None),
+        (SOS, (frozenset({0}), frozenset({1}))),
+        (P(3, {(1, 1, 0): 1}), None),  # inactive variables are ignored
+        (P(3, {}), None),  # at most one active variable
+        (P(3, {(0, 4, 0): 2}), None),
+    ],
+    ids=repr,
+)
+def test_variable_split_matches_reference(f, split):
+    assert logconcavity._split(f.terms, f.nvars) == helpers.variable_split(f) == split
 
 
 # -- generic quadratic-reduction certifier ------------------------------------
@@ -259,8 +258,8 @@ def test_certificate_json_shape():
     payload = cert.to_json()
     assert payload["verdict"] == "accepted"
     assert payload["num_checks"] == 2
-    assert payload["checks"][1]["kind"] == "quadratic-nsd"
-    assert "checks" not in cert.to_json(include_checks=False)
+    assert "checks" not in payload
+    assert helpers.certificate_json(cert)["checks"][1]["kind"] == "quadratic-nsd"
 
 
 def _assert_matches_reference(f):
@@ -268,7 +267,7 @@ def _assert_matches_reference(f):
     check by check, matrices and witnesses included, in canonical order."""
     cert = certify_clc_quadratic_criterion(f)
     reference = helpers.reference_certificate(f)
-    assert cert.to_json() == reference.to_json()
+    assert helpers.certificate_json(cert) == helpers.certificate_json(reference)
     assert cert.checks == reference.checks
     assert [c.matrix for c in cert.checks] == [c.matrix for c in reference.checks]
     assert list(cert.checks) == sorted(cert.checks, key=_canonical_alpha_key)
@@ -494,7 +493,7 @@ def test_matroid_certificate_lengths_build_no_checks(monkeypatch):
     cert = certify_clc_matroid(m)
     assert len(cert.checks) == sum(12 - len(j) for j in family)
     assert len(cert.quadratic_checks()) == len(family)
-    assert cert.to_json(include_checks=False)["num_checks"] == len(cert.checks)
+    assert cert.to_json()["num_checks"] == len(cert.checks)
     monkeypatch.setattr(logconcavity, "_matroid_walk", real_walk)
     assert "".join(cert._checks_json())
     assert built == [] and passes == []

@@ -26,14 +26,10 @@ from matroidlc import (
     ElementOutOfRange,
     EmptyFamily,
     EnumerationLimitExceeded,
-    ExplicitMatroid,
-    GraphicMatroid,
     InvalidRank,
     InvalidVertexIndex,
     NonPrimeModulus,
     NotIndependent,
-    LinearMatroid,
-    UniformMatroid,
     bases_polynomial,
     bivariate_restriction,
     certify_clc_matroid,
@@ -45,7 +41,14 @@ from matroidlc import (
     matroid_from_json,
     uniform,
 )
-from matroidlc.matroid import MAX_PRIME_MODULUS, _is_prime
+from matroidlc.matroid import (
+    MAX_PRIME_MODULUS,
+    ExplicitMatroid,
+    GraphicMatroid,
+    LinearMatroid,
+    UniformMatroid,
+    _is_prime,
+)
 
 
 # -- spec'd count and family examples -----------------------------------

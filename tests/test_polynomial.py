@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     k3,
     parallel_pair_plus_free,
+    polynomial_to_json,
     random_homogeneous_polynomial,
     random_positive_point,
     reference_values_at,
@@ -27,7 +28,6 @@ from matroidlc import (
     independence_polynomial,
     matroid_variable_names,
     polynomial_from_json,
-    polynomial_to_json,
     uniform,
 )
 
@@ -66,14 +66,12 @@ def test_zero_polynomial_conventions():
     assert z.is_zero()
     assert z.total_degree() == -1
     assert z.is_homogeneous()
-    assert z.active_variables() == frozenset()
-    assert z.homogeneous_degree() == -1
 
 
 def test_arithmetic_basics():
     x = SparsePolynomial.variable(2, 0)
     y = SparsePolynomial.variable(2, 1)
-    f = (x + y) ** 3
+    f = (x + y) * (x + y) * (x + y)
     assert f.terms == {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}
     assert (f - f).is_zero()
     assert (2 * x * y).coefficient((1, 1)) == 2
@@ -87,7 +85,7 @@ def test_arithmetic_basics():
 def test_independence_polynomial_u12():
     g = independence_polynomial(uniform(1, 2))
     assert g.terms == {(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1}
-    assert g.homogeneous_degree() == 2
+    assert g.is_homogeneous() and g.total_degree() == 2
 
 
 def test_independence_polynomial_single_loop():
@@ -98,7 +96,7 @@ def test_independence_polynomial_single_loop():
 def test_independence_polynomial_u23():
     g = independence_polynomial(uniform(2, 3))
     assert len(g.terms) == 7
-    assert g.homogeneous_degree() == 3
+    assert g.is_homogeneous() and g.total_degree() == 3
     assert all(c == 1 for c in g.terms.values())
     assert g.coefficient((1, 1, 1, 0)) == 1
     assert g.coefficient((0, 1, 1, 1)) == 0
@@ -122,13 +120,13 @@ def test_bases_polynomial_examples():
     assert rank0.terms == {(0, 0): 1}
     for m in zoo():
         p = bases_polynomial(m)
-        assert p.homogeneous_degree() == m.rank
+        assert p.is_homogeneous() and p.total_degree() == m.rank
 
 
 def test_homogeneity_of_generating_polynomial():
     for m in zoo():
         g = independence_polynomial(m)
-        assert g.homogeneous_degree() == m.n_elements
+        assert g.is_homogeneous() and g.total_degree() == m.n_elements
         assert g.evaluate((ONE,) * g.nvars) == sum(m.count_independent_by_size())
 
 
@@ -297,7 +295,8 @@ def test_integral_coefficients_stored_as_int():
 def test_euler_identity_symbolically():
     for m in zoo():
         g = independence_polynomial(m)
-        d = g.homogeneous_degree()
+        assert g.is_homogeneous()
+        d = g.total_degree()
         total = SparsePolynomial.zero(g.nvars)
         for i in range(g.nvars):
             total = total + SparsePolynomial.variable(g.nvars, i) * g.partial_derivative(i)
@@ -353,35 +352,6 @@ def test_gradient_hessian_match_finite_differences():
                 )
 
 
-# -- affine substitution -----------------------------------------------------
-
-
-def test_substitute_identity():
-    g = independence_polynomial(uniform(1, 2))
-    eye = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    assert g.substitute_affine(eye, (0, 0, 0)) == g
-
-
-def test_substitute_merges_variables():
-    g = independence_polynomial(uniform(1, 2))
-    matrix = [[1, 0], [0, 1], [0, 1]]
-    out = g.substitute_affine(matrix, (0, 0, 0), nvars_out=2)
-    assert out.terms == {(2, 0): 1, (1, 1): 2}
-
-
-def test_substitute_affine_shear():
-    y2z = P(2, {(2, 1): 1})
-    matrix = [[1, 0], [1, 1]]
-    out = y2z.substitute_affine(matrix, (0, 0))
-    assert out.terms == {(3, 0): 1, (2, 1): 1}
-
-
-def test_substitute_offset():
-    f = P(1, {(2,): 1})
-    out = f.substitute_affine([[1]], (Fraction(1, 2),))
-    assert out.terms == {(2,): 1, (1,): 1, (0,): Fraction(1, 4)}
-
-
 # -- bivariate restriction ----------------------------------------------------
 
 
@@ -406,9 +376,11 @@ def test_bivariate_matches_counts_and_substitution():
         n = m.n_elements
         for k, c in enumerate(counts):
             assert f.coefficient((n - k, k)) == c
-        g = independence_polynomial(m)
-        merge = [[1, 0]] + [[0, 1]] * m.ambient
-        assert g.substitute_affine(merge, (0,) * g.nvars, nvars_out=2) == f
+        # g_M with every z_i set to z: (a, z_1..z_n) -> (a, z_1 + ... + z_n)
+        merged = {}
+        for (a, *z), c in independence_polynomial(m).terms.items():
+            merged[a, sum(z)] = merged.get((a, sum(z)), 0) + c
+        assert SparsePolynomial(2, merged) == f
 
 
 # -- serialization --------------------------------------------------------------
