@@ -105,19 +105,42 @@ def _require_nonneg_homogeneous(f: SparsePolynomial) -> None:
         raise NotHomogeneous("polynomial is not homogeneous")
 
 
-def _rank_one_update(q_rows: Sequence, s, v: Sequence) -> SymmetricMatrix:
-    """s Q - v v^T for the rows of a symmetric Q."""
-    return SymmetricMatrix([[s * q - x * y for q, y in zip(row, v)] for row, x in zip(q_rows, v)])
+def _rank_one_update(q_rows: Sequence, s, v: Sequence, scale: int = 1) -> SymmetricMatrix:
+    """(s Q - v v^T) / scale for the rows of a symmetric Q."""
+    rows = [[s * q - x * y for q, y in zip(row, v)] for row, x in zip(q_rows, v)]
+    if scale != 1:
+        rows = [[Fraction(x, scale) for x in row] for row in rows]
+    return SymmetricMatrix(rows)
 
 
 def _pair_matrix(f: SparsePolynomial, a: tuple) -> tuple:
     """f(a) and f(a) Hess f(a) - grad f(a) grad f(a)^T, from one pass
-    over the terms."""
-    values = f._values_at(a, 2)
+    over the terms, in ints.
+
+    With L the lcm of the denominators of a, M that of the coefficients
+    and D the degree (at least 1), p = L a and f^ = sum c M L^(D - |e|) x^e
+    are integral and f^(y) = M L^D f(y / L).  So f^, its gradient and its
+    Hessian at p are M L^D, M L^(D-1) and M L^(D-2) times those of f at
+    a, homogeneous or not, and the pair matrix is that of f^ at p divided
+    by M^2 L^(2D-2).  When L = M = 1, f^ is f.
+    """
     n = f.nvars
+    terms = f.terms
+    big_l = math.lcm(*(x.denominator for x in a))
+    big_m = math.lcm(*(c.denominator for c in terms.values()))
+    d = max(f.total_degree(), 1)
+    fhat = f
+    if big_l * big_m > 1:
+        fhat = SparsePolynomial(
+            n, {e: c * big_m * big_l ** (d - sum(e)) for e, c in terms.items()}
+        )
+    values = fhat._values_at([x.numerator * (big_l // x.denominator) for x in a], 2)
     hess = [[values.get((min(i, j), max(i, j)), 0) for j in range(n)] for i in range(n)]
-    fa = Fraction(values.get((), 0))
-    return fa, _rank_one_update(hess, fa, [values.get((i,), 0) for i in range(n)])
+    fhat_p = values.get((), 0)
+    pair = _rank_one_update(
+        hess, fhat_p, [values.get((i,), 0) for i in range(n)], big_m**2 * big_l ** (2 * d - 2)
+    )
+    return Fraction(fhat_p, big_m * big_l**d), pair
 
 
 def log_concavity_test_matrix(f: SparsePolynomial, a: Sequence) -> SymmetricMatrix:
@@ -148,20 +171,25 @@ def log_concave_at(f: SparsePolynomial, a: Sequence) -> bool:
 # -- indecomposability ---------------------------------------------------
 
 
-def _split(exps, nvars: int) -> Optional[tuple]:
-    """None when the supports of the exponent vectors connect their
+def _split(exps, alpha: tuple) -> Optional[tuple]:
+    """None when the supports of the terms of d^alpha f connect their
     variables, else the component of the smallest one and the rest.
 
-    d2 f / dx_i dx_j is nonzero exactly when some term contains both
-    variables (monomial derivatives cannot cancel), so each support is
-    a clique of the mixed-partial graph."""
-    parent = list(range(nvars))
+    ``exps`` are the exponent vectors beta >= alpha of the terms of f that
+    survive the derivative; the support of the term they give is the set
+    of positions with beta_i > alpha_i.  d2 f / dx_i dx_j is nonzero
+    exactly when some term contains both variables (monomial derivatives
+    cannot cancel), so each support is a clique of the mixed-partial
+    graph."""
+    parent = list(range(len(alpha)))
     active = set()
-    for exp in exps:
-        support = [i for i, e in enumerate(exp) if e]
-        active.update(support)
-        for i in support[1:]:
-            parent[_find(parent, i)] = _find(parent, support[0])
+    for beta in exps:
+        support = [i for i, b in enumerate(beta) if b > alpha[i]]
+        if support:
+            active.update(support)
+            root = _find(parent, support[0])
+            for i in support[1:]:
+                parent[_find(parent, i)] = root
     components = {}
     for i in sorted(active):
         components.setdefault(_find(parent, i), []).append(i)
@@ -476,14 +504,21 @@ class CLCCertificate:
 
 def _quadratic_check(alpha: tuple, terms: list, nv: int) -> CertificateCheck:
     """The check of the quadratic d^alpha f at the all-ones point: its
-    Hessian is Q_ij = c_beta beta! for beta = alpha + e_i + e_j."""
+    Hessian is Q_ij = c_beta beta! for beta = alpha + e_i + e_j.
+
+    Q is scaled by the lcm L of its coefficients' denominators, so the
+    test matrix (1^T Q 1) Q - (Q1)(Q1)^T is built in ints, as L^2 times
+    itself, and divided back once."""
+    scale = math.lcm(*(c.denominator for _, c in terms))
     q = [[0] * nv for _ in range(nv)]
     for beta, c in terms:
         # beta - alpha = e_i + e_j with i <= j
         i, j = (k for k, (b, a) in enumerate(zip(beta, alpha)) for _ in range(b - a))
-        q[i][j] = q[j][i] = c * math.prod(map(math.factorial, beta))
+        q[i][j] = q[j][i] = (
+            c.numerator * (scale // c.denominator) * math.prod(map(math.factorial, beta))
+        )
     q1 = [sum(row) for row in q]
-    matrix = _rank_one_update(q, sum(q1), q1)
+    matrix = _rank_one_update(q, sum(q1), q1, scale * scale)
     res = is_negative_semidefinite(matrix)
     return CertificateCheck(
         alpha, "quadratic-nsd", res.is_nsd, witness_vector=res.witness, matrix=matrix
@@ -532,7 +567,7 @@ def certify_clc_quadratic_criterion(f: SparsePolynomial) -> CLCCertificate:
         for alpha in sorted(level):
             # the terms of f with beta >= alpha give d^alpha f its support
             terms = level[alpha]
-            split = _split([tuple(b - a for b, a in zip(beta, alpha)) for beta, _ in terms], nv)
+            split = _split([beta for beta, _ in terms], alpha)
             checks.append(
                 CertificateCheck(alpha, "indecomposable", split is None, witness_partition=split)
             )
@@ -795,8 +830,7 @@ def _matroid_pair_matrix(m: Matroid) -> tuple:
         for j, p in zip(labels, row):
             if j != i:
                 hess[i][j] = p
-    fa = Fraction(size)
-    return fa, _rank_one_update(hess, fa, grad)
+    return Fraction(size), _rank_one_update(hess, size, grad)
 
 
 def spectral_nd_report(source, a: Optional[Sequence] = None) -> SpectralReport:

@@ -30,19 +30,11 @@ from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
-from .linalg import SymmetricMatrix
+from .linalg import SymmetricMatrix, _exact
 from .matroid import Matroid, parse_rational
 
 
-def _as_coeff(c):
-    if isinstance(c, int):
-        return int(c)
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
-
-
-def _exact(v):
+def _as_fraction(v):
     """An int value as a Fraction; Fractions and floats pass through."""
     return Fraction(v) if isinstance(v, int) else v
 
@@ -64,7 +56,7 @@ class SparsePolynomial:
                 )
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            c = _as_coeff(c)
+            c = _exact(c)
             if c:
                 clean[exp] = c
         self.nvars = nvars
@@ -146,7 +138,7 @@ class SparsePolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_coeff(other)
+            c = _exact(other)
             return SparsePolynomial(self.nvars, {e: c * v for e, v in self._terms.items()})
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
@@ -185,7 +177,7 @@ class SparsePolynomial:
             )
         out = {}
         for i, v in enumerate(direction):
-            v = _as_coeff(v)
+            v = _exact(v)
             if not v:
                 continue
             for exp, c in self.partial_derivative(i)._terms.items():
@@ -201,14 +193,21 @@ class SparsePolynomial:
             )
         if any(a < 0 for a in alpha):
             raise ValueError(f"negative entry in multi-index {alpha}")
+        # only the nonzero positions of alpha test or scale a term
+        active = [(i, a) for i, a in enumerate(alpha) if a]
         out = {}
         for exp, c in self._terms.items():
-            if all(e >= a for e, a in zip(exp, alpha)):
-                factor = 1
-                for e, a in zip(exp, alpha):
-                    if a:
-                        factor *= perm(e, a)
-                out[tuple(e - a for e, a in zip(exp, alpha))] = c * factor
+            factor = c
+            for i, a in active:
+                e = exp[i]
+                if e < a:
+                    break
+                factor *= perm(e, a)
+            else:
+                lowered = list(exp)
+                for i, a in active:
+                    lowered[i] -= a
+                out[tuple(lowered)] = factor
         return SparsePolynomial(self.nvars, out)
 
     # -- evaluation ----------------------------------------------------------
@@ -274,11 +273,11 @@ class SparsePolynomial:
     def evaluate(self, point: Sequence):
         """Evaluate at a point; exact for int/Fraction coordinates,
         floating point when given floats."""
-        return _exact(self._values_at(point, 0).get((), 0))
+        return _as_fraction(self._values_at(point, 0).get((), 0))
 
     def gradient(self, point: Sequence) -> tuple:
         values = self._values_at(point, 1)
-        return tuple(_exact(values.get((i,), 0)) for i in range(self.nvars))
+        return tuple(_as_fraction(values.get((i,), 0)) for i in range(self.nvars))
 
     def hessian(self, point: Sequence) -> SymmetricMatrix:
         """Exact Hessian matrix; the point must be rational."""

@@ -254,7 +254,7 @@ def reference_is_negative_semidefinite(q):
     P_t = E P E^T at every pivot and lifts a failure vector w for P_t to
     v = E^T w; the library records the multipliers instead."""
     d = q.dim
-    p = [[-x for x in row] for row in q.rows()]
+    p = [[-Fraction(x) for x in row] for row in q.rows()]
     e = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
 
     def lift(w):

@@ -198,3 +198,99 @@ def test_witness_is_primitive_integer_vector():
     assert not res.is_nsd
     assert all(isinstance(x, int) or x.denominator == 1 for x in res.witness)
     assert q.quad(res.witness) > 0
+
+
+# -- fraction-free elimination: scaling and the zero-pivot branch -------------
+
+
+SCALES = (7, Fraction(1, 3), 10**30)
+
+PINNED_ELIMINATIONS = [
+    # zero pivot with coupling at the first step
+    [[0, 1], [1, 0]],
+    # zero pivot with coupling after one pivot (-Q = [[1, 1, 0], [1, 1, 1], [0, 1, 0]])
+    [[-1, -1, 0], [-1, -1, -1], [0, -1, 0]],
+    # zero pivot with coupling after two pivots, b = 5 in the trailing block
+    [[-2, 0, 0, 0], [0, -3, -3, 0], [0, -3, -3, -1], [0, 0, -1, -5]],
+    # the same with non-integral entries
+    [
+        [Fraction(-2, 3), 0, 0],
+        [0, Fraction(-1, 5), Fraction(-1, 5)],
+        [0, Fraction(-1, 5), Fraction(-6, 5)],
+    ],
+    # a zero row skipped first, then a pivot, then a negative pivot
+    [[0, 0, 0], [0, -1, -1], [0, -1, 0]],
+    # a row that vanishes after one pivot is skipped; the next pivot divides by the first
+    [[-2, -2, -1, 0], [-2, -2, -1, 0], [-1, -1, -3, -1], [0, 0, -1, Fraction(-1, 3)]],
+    [[-2, -2, -1, 0], [-2, -2, -1, 0], [-1, -1, -3, -1], [0, 0, -1, Fraction(-2, 5)]],
+    [[-2, -2, -1, 0], [-2, -2, -1, 0], [-1, -1, -3, -1], [0, 0, -1, Fraction(-1, 2)]],
+    # two zero rows skipped between pivots
+    [[-1, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, Fraction(-1, 2)]],
+]
+
+
+def _assert_matches_reference_under_scaling(q):
+    res = is_negative_semidefinite(q)
+    assert res == reference_is_negative_semidefinite(q)
+    for c in SCALES:
+        scaled = q.scaled(c)
+        got = is_negative_semidefinite(scaled)
+        # the verdict is invariant, and the witness is the one the
+        # Fraction elimination finds for the scaled matrix
+        assert got == reference_is_negative_semidefinite(scaled)
+        assert got.is_nsd == res.is_nsd
+        if not got.is_nsd:
+            assert q.quad(got.witness) > 0
+
+
+@pytest.mark.parametrize("rows", PINNED_ELIMINATIONS)
+def test_pinned_eliminations_match_reference_under_scaling(rows):
+    _assert_matches_reference_under_scaling(S(rows))
+
+
+def test_zero_pivot_witness_after_one_pivot():
+    # after the pivot, P_t = [[0, 1], [1, 0]], so w_1 = -(0 + 1)/2 and
+    # w_0 = -w_1: v = (1, -1, 2) up to scale
+    res = is_negative_semidefinite(S(PINNED_ELIMINATIONS[1]))
+    assert res == NsdResult(False, (1, -1, 2))
+
+
+def _random_singular(rng, dim):
+    """A sum of few signed rank-one forms with some zero rows, so that
+    pivots vanish often, with and without coupling."""
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for _ in range(rng.randint(1, 3)):
+        v = [Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3))) for _ in range(dim)]
+        sign = -1 if rng.random() < 0.8 else 1
+        for i in range(dim):
+            for j in range(dim):
+                rows[i][j] += sign * v[i] * v[j]
+    for z in rng.sample(range(dim), rng.randint(0, dim // 2)):
+        for i in range(dim):
+            rows[i][z] = rows[z][i] = Fraction(0)
+    if rng.random() < 0.3:
+        k, j = rng.sample(range(dim), 2)
+        rows[k][k] = Fraction(0)
+        rows[k][j] = rows[j][k] = Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+    return SymmetricMatrix(rows)
+
+
+def test_random_singular_eliminations_match_reference_under_scaling():
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(400):
+        q = _random_singular(rng, rng.randint(2, 6))
+        _assert_matches_reference_under_scaling(q)
+        verdicts.add(is_negative_semidefinite(q).is_nsd)
+    assert verdicts == {True, False}
+
+
+def test_integral_entries_are_stored_as_int():
+    q = S([[Fraction(4, 2), Fraction(1, 2)], [Fraction(1, 2), 0]])
+    assert [type(x) for x in q.rows()[0]] == [int, Fraction]
+    assert q == SymmetricMatrix([[2, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    as_fractions = [[Fraction(2), Fraction(1, 2)], [Fraction(1, 2), Fraction(0)]]
+    assert hash(q) == hash(SymmetricMatrix(as_fractions))
+    assert q.to_json_rows() == [["2", "1/2"], ["1/2", "0"]]
+    assert q.quad((2, 2)) == 12
+    assert q.matvec((Fraction(1, 2), 1)) == (Fraction(3, 2), Fraction(1, 4))

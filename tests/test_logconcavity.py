@@ -180,7 +180,7 @@ def test_condition_report_json_shape():
     ids=repr,
 )
 def test_variable_split_matches_reference(f, split):
-    assert logconcavity._split(f.terms, f.nvars) == helpers.variable_split(f) == split
+    assert logconcavity._split(f.terms, (0,) * f.nvars) == helpers.variable_split(f) == split
 
 
 # -- generic quadratic-reduction certifier ------------------------------------
@@ -624,6 +624,63 @@ def test_spectral_report_json():
     payload = spectral_nd_report(Z1Z2).to_json()
     assert payload["max_eigenvalue"] == pytest.approx(-1.0)
     assert payload["point"] == ["1", "1"]
+
+
+def _reference_pair_matrix(f, a):
+    """f(a) and f(a) Hess f(a) - grad f(a) grad f(a)^T in Fraction
+    arithmetic at the point itself, with no cleared denominators."""
+    values = helpers.reference_values_at(f, a, 2)
+    n = f.nvars
+    fa = Fraction(values.get((), 0))
+    grad = [Fraction(values.get((i,), 0)) for i in range(n)]
+    rows = [
+        [fa * values.get((min(i, j), max(i, j)), 0) - grad[i] * grad[j] for j in range(n)]
+        for i in range(n)
+    ]
+    return fa, SymmetricMatrix(rows)
+
+
+def _random_rational_polynomial(rng, nvars, homogeneous):
+    terms = {}
+    degree = rng.randint(0, 5)
+    for _ in range(rng.randint(1, 8)):
+        exp = [0] * nvars
+        for _ in range(degree if homogeneous else rng.randint(0, degree)):
+            exp[rng.randrange(nvars)] += 1
+        terms[tuple(exp)] = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+    return SparsePolynomial(nvars, terms)
+
+
+def test_pair_matrix_with_cleared_denominators_matches_fraction_reference():
+    rng = random.Random(5)
+    for trial in range(600):
+        nvars = rng.randint(1, 5)
+        f = _random_rational_polynomial(rng, nvars, homogeneous=trial % 2 == 0)
+        # zero coordinates, integral ones and non-integral ones
+        a = tuple(
+            Fraction(rng.choice((0, rng.randint(0, 9))), rng.choice((1, 1, 2, 5, 12)))
+            for _ in range(nvars)
+        )
+        fa, pair = logconcavity._pair_matrix(f, a)
+        ref_fa, ref_pair = _reference_pair_matrix(f, a)
+        assert (fa, type(fa)) == (ref_fa, Fraction)
+        assert pair == ref_pair
+        assert pair.to_json_rows() == ref_pair.to_json_rows()
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        P(2, {}),
+        P(2, {(0, 0): Fraction(5, 3)}),
+        P(2, {(1, 0): Fraction(1, 2), (0, 0): 1}),
+        P(3, {(2, 0, 1): Fraction(3, 4), (0, 1, 0): 2, (0, 0, 0): Fraction(-1, 6)}),
+    ],
+    ids=["zero", "constant", "affine", "mixed-degree"],
+)
+def test_pair_matrix_of_low_degree_and_mixed_degree_polynomials(f):
+    a = tuple(Fraction(i, 3) for i in range(f.nvars))
+    assert logconcavity._pair_matrix(f, a) == _reference_pair_matrix(f, a)
 
 
 def _assert_same_spectral_report(report, generic):
