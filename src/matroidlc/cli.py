@@ -40,6 +40,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -446,10 +447,16 @@ def _build_parser() -> argparse.ArgumentParser:
         if poly:
             p.add_argument("--poly", dest="poly_path", metavar="POLY", help="polynomial JSON file")
 
+    def finite_float(text):
+        value = float(text)
+        if not math.isfinite(value):  # not JSON, and nan fails every comparison
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        return value
+
     def tolerance(p, help):
         p.add_argument(
             "--tolerance", dest="spectral_tolerance", metavar="TOLERANCE",
-            type=float, default=SPECTRAL_TOLERANCE, help=help,
+            type=finite_float, default=SPECTRAL_TOLERANCE, help=help,
         )
 
     common(sub.add_parser("validate", help="axiom check"))

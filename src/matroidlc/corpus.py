@@ -18,6 +18,7 @@ determinants, spectral diagnostic) and summarized with a pass flag.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import asdict, dataclass
 from typing import Iterable, List, Tuple
@@ -57,6 +58,8 @@ class CorpusConfig:
         for name in ("linear_max_rows", "linear_max_cols", "explicit_max_n"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not math.isfinite(self.spectral_tolerance):
+            raise ValueError(f"spectral_tolerance must be finite, got {self.spectral_tolerance}")
 
     def to_json(self) -> dict:
         return asdict(self)

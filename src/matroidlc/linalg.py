@@ -121,11 +121,17 @@ class NsdResult:
         return self.is_nsd
 
 
-def _primitive(v: Iterable[Fraction]) -> tuple:
-    """Scale a rational vector to coprime integers (sign preserved)."""
+def _cleared(v: Iterable) -> tuple:
+    """(L v, L) for a vector of ints and Fractions, with L the lcm of
+    their denominators: the entries of L v are ints."""
     v = list(v)
     scale = lcm(*(x.denominator for x in v))
-    ints = [int(x * scale) for x in v]
+    return [x.numerator * (scale // x.denominator) for x in v], scale
+
+
+def _primitive(v: Iterable[Fraction]) -> tuple:
+    """Scale a rational vector to coprime integers (sign preserved)."""
+    ints, _ = _cleared(v)
     g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]

@@ -3,16 +3,14 @@
 A homogeneous polynomial f with nonnegative coefficients is log-concave
 at a point a with f(a) > 0 when the Hessian of log f is negative
 semidefinite there.  For such f and exact rational a this is decidable
-without floats: with Q the Hessian of f at a, negative semidefiniteness
-of
-
-    C = (a^T Q a) Q - (Qa)(Qa)^T
-
-is equivalent to it, along with several other formulations that the
-condition report evaluates side by side (restriction of Q to the
-hyperplane orthogonal to Qa, to sampled hyperplanes (Qb)-perp for
-nonnegative b, and for degree >= 3 log-concavity of the derivative of f
-in direction a).
+without floats.  The condition report evaluates equivalent formulations
+side by side, all from one integer pass over the terms of f that gives
+f(a), its gradient and its Hessian Q, each times a positive scale
+(SparsePolynomial._values_at): the pair matrix f(a) Q - grad grad^T,
+the restriction of Q to the hyperplane orthogonal to Qa and to sampled
+hyperplanes (Qb)-perp for nonnegative b (each in an integer basis),
+C = (a^T Q a) Q - (Qa)(Qa)^T, and for degree >= 3 log-concavity of the
+derivative of f in direction a.
 
 f is completely log-concave when every repeated partial derivative is
 log-concave over the nonnegative orthant.  The certifier used here
@@ -81,7 +79,7 @@ from .errors import (
     NotHomogeneous,
     ZeroAtPoint,
 )
-from .linalg import SymmetricMatrix, float_eigenvalues, is_negative_semidefinite
+from .linalg import SymmetricMatrix, _cleared, float_eigenvalues, is_negative_semidefinite
 from .matroid import Matroid, _extensions, _find
 from .polynomial import SparsePolynomial, independence_polynomial
 
@@ -115,40 +113,26 @@ def _rank_one_update(q_rows: Sequence, s, v: Sequence, scale: int = 1) -> Symmet
 
 def _pair_matrix(f: SparsePolynomial, a: tuple) -> tuple:
     """f(a) and f(a) Hess f(a) - grad f(a) grad f(a)^T, from one pass
-    over the terms, in ints.
+    over the terms, in ints: with F, G and H those of _values_at and
+    s_0 s_2 = s_1^2, the pair matrix is (F H - G G^T) / s_1^2."""
+    (fa, grad, hess), (s0, s1, _) = f._values_at(a, 2)
+    return Fraction(fa, s0), _rank_one_update(hess, fa, grad, s1 * s1)
 
-    With L the lcm of the denominators of a, M that of the coefficients
-    and D the degree (at least 1), p = L a and f^ = sum c M L^(D - |e|) x^e
-    are integral and f^(y) = M L^D f(y / L).  So f^, its gradient and its
-    Hessian at p are M L^D, M L^(D-1) and M L^(D-2) times those of f at
-    a, homogeneous or not, and the pair matrix is that of f^ at p divided
-    by M^2 L^(2D-2).  When L = M = 1, f^ is f.
-    """
-    n = f.nvars
-    terms = f.terms
-    big_l = math.lcm(*(x.denominator for x in a))
-    big_m = math.lcm(*(c.denominator for c in terms.values()))
-    d = max(f.total_degree(), 1)
-    fhat = f
-    if big_l * big_m > 1:
-        fhat = SparsePolynomial(
-            n, {e: c * big_m * big_l ** (d - sum(e)) for e, c in terms.items()}
-        )
-    values = fhat._values_at([x.numerator * (big_l // x.denominator) for x in a], 2)
-    hess = [[values.get((min(i, j), max(i, j)), 0) for j in range(n)] for i in range(n)]
-    fhat_p = values.get((), 0)
-    pair = _rank_one_update(
-        hess, fhat_p, [values.get((i,), 0) for i in range(n)], big_m**2 * big_l ** (2 * d - 2)
-    )
-    return Fraction(fhat_p, big_m * big_l**d), pair
+
+def _test_matrix(hess: list, scale: int, a: Sequence) -> SymmetricMatrix:
+    """(a^T Q a) Q - (Qa)(Qa)^T for Q = hess / scale.  With p = L a
+    integral, it is (p^T H p) H - (Hp)(Hp)^T for H = hess, divided by
+    (L scale)^2."""
+    p, big_l = _cleared(a)
+    hp = [sum(x * y for x, y in zip(row, p)) for row in hess]
+    return _rank_one_update(hess, sum(x * y for x, y in zip(p, hp)), hp, (big_l * scale) ** 2)
 
 
 def log_concavity_test_matrix(f: SparsePolynomial, a: Sequence) -> SymmetricMatrix:
     """(a^T Q a) Q - (Qa)(Qa)^T for Q the Hessian of f at a."""
     a = _rational_point(f, a, require_nonneg=False)
-    q = f.hessian(a)
-    qa = q.matvec(a)
-    return _rank_one_update(q.rows(), sum(x * y for x, y in zip(a, qa)), qa)
+    (*_, hess), (*_, scale) = f._values_at(a, 2)
+    return _test_matrix(hess, scale, a)
 
 
 def log_concave_at(f: SparsePolynomial, a: Sequence) -> bool:
@@ -224,7 +208,6 @@ class LogConcavityConditionReport:
     point: tuple
     value: Fraction
     degree: int
-    hessian: SymmetricMatrix
     condition1: bool
     condition2: bool
     condition3_samples: tuple
@@ -232,7 +215,6 @@ class LogConcavityConditionReport:
     condition5: bool
     condition6: Optional[bool]
     condition5_matrix: SymmetricMatrix
-    orthogonal_basis: tuple
     seed: int
     agreement: bool = field(init=False)
 
@@ -261,34 +243,28 @@ class LogConcavityConditionReport:
         }
 
 
-def _orthogonal_complement_basis(w: Sequence) -> tuple:
-    """Rational basis of the hyperplane orthogonal to a nonzero vector."""
-    pivot = next((i for i, x in enumerate(w) if x != 0), None)
-    if pivot is None:
-        raise ValueError("zero vector has no hyperplane complement")
-    n = len(w)
-    basis = []
-    for j in range(n):
-        if j == pivot:
-            continue
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        v[pivot] = -Fraction(w[j], 1) / w[pivot]
-        basis.append(tuple(v))
-    return tuple(basis)
+def _hyperplane_nsd(hess: list, b: Sequence) -> Optional[bool]:
+    """Whether Q is NSD on the hyperplane orthogonal to Qb, for Q a
+    positive multiple of ``hess``; None when Qb = 0.
 
-
-def _restrict_form(q: SymmetricMatrix, basis: Sequence) -> SymmetricMatrix:
-    """Matrix of the quadratic form z^T Q z on the span of the basis."""
-    images = [q.matvec(v) for v in basis]
-    k = len(basis)
-    rows = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            val = sum((a * b for a, b in zip(basis[i], images[j])), Fraction(0))
-            rows[i][j] = val
-            rows[j][i] = val
-    return SymmetricMatrix(rows)
+    w = hess (L b) is integral and a positive multiple of Qb.  The form
+    is restricted in the basis w_p e_j - w_j e_p (j != p), for w_p the
+    first nonzero entry, so its matrix is integral too; the verdict does
+    not depend on the basis, by congruence.
+    """
+    q, _ = _cleared(b)
+    w = [sum(x * y for x, y in zip(row, q)) for row in hess]
+    p = next((i for i, x in enumerate(w) if x), None)
+    if p is None:
+        return None
+    wp, hp = w[p], hess[p]
+    rest = [j for j in range(len(w)) if j != p]
+    # (w_p e_i - w_i e_p)^T H (w_p e_j - w_j e_p)
+    restricted = [
+        [wp * (wp * hess[i][j] - w[j] * hp[i] - w[i] * hp[j]) + w[i] * w[j] * hp[p] for j in rest]
+        for i in rest
+    ]
+    return bool(is_negative_semidefinite(SymmetricMatrix(restricted)))
 
 
 def log_concavity_condition_report(
@@ -303,46 +279,35 @@ def log_concavity_condition_report(
     and a nonnegative rational point with f(a) != 0.  For such input Qa
     is automatically nonzero (a^T Q a = d (d-1) f(a) > 0), so the
     hyperplane of condition2 always exists.  Sampled points for
-    condition3 start with b = a and continue with small random
-    nonnegative vectors, skipping any with Qb = 0.
+    condition3 start with b = a, which is condition2, and continue with
+    small random nonnegative vectors, skipping any with Qb = 0.  Every
+    condition reads the one integer jet of f at a (see _values_at).
     """
     _require_nonneg_homogeneous(f)
     a = _rational_point(f, a)
     d = f.total_degree()
     if d < 2:
         raise DegreeTooLow(f"conditions need degree >= 2, got {d}")
-    fa, pair = _pair_matrix(f, a)
+    (fa, grad, hess), (s0, _, s2) = f._values_at(a, 2)
     if fa == 0:
         raise ZeroAtPoint("conditions are defined only where f(a) != 0")
-    q = f.hessian(a)
-    qa = q.matvec(a)
-    if all(x == 0 for x in qa):
+    # F H - G G^T is s_1^2 times the pair matrix, so it has the same verdict
+    cond1 = bool(is_negative_semidefinite(_rank_one_update(hess, fa, grad)))
+    cond2 = _hyperplane_nsd(hess, a)
+    if cond2 is None:
         raise ConsistencyError("Qa vanished although f(a) > 0 and degree >= 2")
-
-    cond1 = bool(is_negative_semidefinite(pair))
-    basis = _orthogonal_complement_basis(qa)
-    cond2 = bool(is_negative_semidefinite(_restrict_form(q, basis)))
-    cond4 = cond2
-    cond5_matrix = _rank_one_update(q.rows(), sum(x * y for x, y in zip(a, qa)), qa)
+    cond5_matrix = _test_matrix(hess, s2, a)
     cond5 = bool(is_negative_semidefinite(cond5_matrix))
 
     rng = random.Random(seed)
-    sample_results = []
-    candidates = 0
+    sample_results = [cond2][:samples]
+    candidates = 1
     while len(sample_results) < samples and candidates < 20 * samples:
-        if candidates == 0:
-            b = a
-        else:
-            b = tuple(
-                Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(f.nvars)
-            )
         candidates += 1
-        qb = q.matvec(b)
-        if all(x == 0 for x in qb):
-            continue
-        sample_results.append(
-            bool(is_negative_semidefinite(_restrict_form(q, _orthogonal_complement_basis(qb))))
-        )
+        b = tuple(Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(f.nvars))
+        verdict = _hyperplane_nsd(hess, b)
+        if verdict is not None:
+            sample_results.append(verdict)
 
     cond6 = None
     if d >= 3:
@@ -350,17 +315,15 @@ def log_concavity_condition_report(
 
     return LogConcavityConditionReport(
         point=a,
-        value=fa,
+        value=Fraction(fa, s0),
         degree=d,
-        hessian=q,
         condition1=cond1,
         condition2=cond2,
         condition3_samples=tuple(sample_results),
-        condition4=cond4,
+        condition4=cond2,
         condition5=cond5,
         condition6=cond6,
         condition5_matrix=cond5_matrix,
-        orthogonal_basis=basis,
         seed=seed,
     )
 
@@ -509,14 +472,12 @@ def _quadratic_check(alpha: tuple, terms: list, nv: int) -> CertificateCheck:
     Q is scaled by the lcm L of its coefficients' denominators, so the
     test matrix (1^T Q 1) Q - (Q1)(Q1)^T is built in ints, as L^2 times
     itself, and divided back once."""
-    scale = math.lcm(*(c.denominator for _, c in terms))
+    coeffs, scale = _cleared(c for _, c in terms)
     q = [[0] * nv for _ in range(nv)]
-    for beta, c in terms:
+    for (beta, _), c in zip(terms, coeffs):
         # beta - alpha = e_i + e_j with i <= j
         i, j = (k for k, (b, a) in enumerate(zip(beta, alpha)) for _ in range(b - a))
-        q[i][j] = q[j][i] = (
-            c.numerator * (scale // c.denominator) * math.prod(map(math.factorial, beta))
-        )
+        q[i][j] = q[j][i] = c * math.prod(map(math.factorial, beta))
     q1 = [sum(row) for row in q]
     matrix = _rank_one_update(q, sum(q1), q1, scale * scale)
     res = is_negative_semidefinite(matrix)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -39,6 +38,7 @@ from .errors import (
     NonPrimeModulus,
     NotIndependent,
 )
+from .linalg import _cleared
 
 # Exhaustive subset enumeration refuses ground sets above this size
 # unless the caller raises the bound explicitly.
@@ -401,10 +401,7 @@ class LinearMatroid(Matroid):
             raise ValueError("columns must all have the same height")
         if modulus and any(x.denominator != 1 for col in cols for x in col):
             raise ValueError("finite field columns must have integer entries")
-        norm = []
-        for col in cols:
-            scale = lcm(*(x.denominator for x in col))
-            norm.append(tuple(int(x * scale) % modulus if modulus else int(x * scale) for x in col))
+        norm = [tuple(x % modulus if modulus else x for x in _cleared(col)[0]) for col in cols]
         super().__init__((1 << len(norm)) - 1, len(norm))
         self.modulus = modulus
         self.columns = tuple(norm)

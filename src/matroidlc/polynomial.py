@@ -4,7 +4,9 @@ A polynomial is a mapping from exponent vectors (tuples of nonnegative
 ints, one slot per variable) to nonzero exact coefficients: an integral
 coefficient is stored as an int and any other as a Fraction, so equal
 values are stored alike and the integer case never pays for Fraction
-arithmetic.  Values at a rational point are returned as Fractions.
+arithmetic.  Derivatives at a rational point are computed in ints with
+the denominators cleared once, by _values_at, and divided back into
+Fractions per returned entry.
 Zero coefficients are dropped on construction, so the zero polynomial is
 the empty mapping and equality is plain dict equality.  The canonical term
 order used for printing is ascending total degree with lexicographic ties.
@@ -25,18 +27,13 @@ polynomials rather than equal up to relabeling.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import lcm, perm
 from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
-from .linalg import SymmetricMatrix, _exact
+from .linalg import SymmetricMatrix, _cleared, _exact
 from .matroid import Matroid, parse_rational
-
-
-def _as_fraction(v):
-    """An int value as a Fraction; Fractions and floats pass through."""
-    return Fraction(v) if isinstance(v, int) else v
 
 
 class SparsePolynomial:
@@ -212,33 +209,54 @@ class SparsePolynomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _values_at(self, point: Sequence, order: int) -> dict:
-        """{alpha: d^alpha f(point)} for the sorted index tuples alpha of
-        every length up to ``order`` (at most 2), from one pass over the
-        terms: () holds f, (i,) the gradient, (i, j) the Hessian.
+    def _values_at(self, point: Sequence, order: int) -> tuple:
+        """([s_0 f, s_1 grad f, s_2 Hess f][: order + 1], scales) at the
+        point, for ``order`` at most 2, from one pass over the terms: the
+        value, the gradient as a list and the Hessian as a list of rows,
+        each times its scale s_k in ``scales``.
 
-        jet[i][k][e] = e!/(e-k)! * x_i^(e-k) is the k-th derivative of
-        x_i^e (zero when k > e); integral coordinates are multiplied as
-        ints.  A term c x^e with r active variables contributes to each
-        alpha the product of c and one jet factor per active variable.
-        Prefix and suffix products of the order-0 factors give all of
-        them in O(r^2) products, with no division (a coordinate may be
-        0); f itself is c * b_0 * ... * b_(r-1) in that order.
+        At a rational point every value is an int.  With L the lcm of the
+        denominators of the point, M that of the coefficients and
+        D = max(deg f, order), p = L point and
+        f^ = sum c M L^(D - |e|) x^e are integral and
+        f^(y) = M L^D f(y / L), so a derivative of order k of f^ at p is
+        s_k = M L^(D - k) times that of f at the point, homogeneous or
+        not.  When L = M = 1, f^ is f and every scale is 1; so it is at a
+        float point, where f is evaluated as given.
+
+        jet[i][k][e] = e!/(e-k)! * p_i^(e-k) is the k-th derivative of
+        x_i^e (zero when k > e).  A term c x^e with r active variables
+        contributes to each derivative the product of c and one jet
+        factor per active variable.  Prefix and suffix products of the
+        order-0 factors give all of them in O(r^2) products, with no
+        division (a coordinate may be 0); f itself is c * b_0 * ... *
+        b_(r-1) in that order.
         """
         point = tuple(point)
-        if len(point) != self.nvars:
-            raise DimensionMismatch(
-                f"point of length {len(point)} for {self.nvars} variables"
-            )
+        n = self.nvars
+        if len(point) != n:
+            raise DimensionMismatch(f"point of length {len(point)} for {n} variables")
+        terms = self._terms
+        scales = (1,) * (order + 1)
+        if all(isinstance(x, (int, Fraction)) for x in point):
+            point, big_l = _cleared(point)
+            big_m = lcm(*(c.denominator for c in terms.values()))
+            if big_l * big_m > 1:
+                d = max(self.total_degree(), order)
+                terms = {
+                    e: c.numerator * (big_m // c.denominator) * big_l ** (d - sum(e))
+                    for e, c in terms.items()
+                }
+                scales = tuple(big_m * big_l ** (d - k) for k in range(order + 1))
         jet = []
         # m is the largest exponent of x in any term
-        for x, m in zip(point, map(max, zip(*self._terms))):
-            if isinstance(x, Fraction) and x.denominator == 1:
-                x = x.numerator
+        for x, m in zip(point, map(max, zip(*terms))):
             jet.append([[perm(e, k) * x ** max(e - k, 0) for e in range(m + 1)]
                         for k in range(order + 1)])
-        out = {}
-        for exp, c in self._terms.items():
+        value = 0
+        grad = [0] * n
+        hess = [[0] * n for _ in range(n)] if order == 2 else []
+        for exp, c in terms.items():
             idx = [i for i, e in enumerate(exp) if e]
             r = len(idx)
             # b, g, h: the order 0, 1, 2 jet factors of the active variables
@@ -247,7 +265,7 @@ class SparsePolynomial:
             prefix = [c]
             for x in b:
                 prefix.append(prefix[-1] * x)
-            out[()] = out.get((), 0) + prefix[r]
+            value += prefix[r]
             if not order:
                 continue
             # suffix[j] = b_j * ... * b_(r-1)
@@ -256,36 +274,42 @@ class SparsePolynomial:
                 suffix[j] = b[j] * suffix[j + 1]
             g = derived[0]
             for j, i in enumerate(idx):
-                out[(i,)] = out.get((i,), 0) + prefix[j] * g[j] * suffix[j + 1]
+                grad[i] += prefix[j] * g[j] * suffix[j + 1]
             if order < 2:
                 continue
             h = derived[1]
             for j, i in enumerate(idx):
-                out[(i, i)] = out.get((i, i), 0) + prefix[j] * h[j] * suffix[j + 1]
+                row = hess[i]
+                row[i] += prefix[j] * h[j] * suffix[j + 1]
                 # run = prefix[j] * g_j * b_(j+1) * ... * b_(l-1)
                 run = prefix[j] * g[j]
                 for l in range(j + 1, r):
-                    alpha = (i, idx[l])
-                    out[alpha] = out.get(alpha, 0) + run * g[l] * suffix[l + 1]
+                    row[idx[l]] += run * g[l] * suffix[l + 1]
                     run = run * b[l]
-        return out
+        # the terms fill the upper triangle
+        for i, row in enumerate(hess):
+            for j in range(i):
+                row[j] = hess[j][i]
+        return [value, grad, hess][: order + 1], scales
 
     def evaluate(self, point: Sequence):
         """Evaluate at a point; exact for int/Fraction coordinates,
         floating point when given floats."""
-        return _as_fraction(self._values_at(point, 0).get((), 0))
+        (value,), (scale,) = self._values_at(point, 0)
+        # a float divided by a Fraction stays a float
+        return value / Fraction(scale)
 
     def gradient(self, point: Sequence) -> tuple:
-        values = self._values_at(point, 1)
-        return tuple(_as_fraction(values.get((i,), 0)) for i in range(self.nvars))
+        (_, grad), (_, scale) = self._values_at(point, 1)
+        return tuple(x / Fraction(scale) for x in grad)
 
     def hessian(self, point: Sequence) -> SymmetricMatrix:
         """Exact Hessian matrix; the point must be rational."""
-        values = self._values_at(point, 2)
-        n = self.nvars
-        return SymmetricMatrix(
-            [[values.get((min(i, j), max(i, j)), 0) for j in range(n)] for i in range(n)]
-        )
+        (*_, hess), (*_, scale) = self._values_at(point, 2)
+        if scale != 1:
+            hess = [[Fraction(x, scale) for x in row] for row in hess]
+        return SymmetricMatrix(hess)
+
 
 def format_polynomial(f: SparsePolynomial, names: Optional[Sequence[str]] = None) -> str:
     """Readable rendering, leading terms first."""
@@ -379,5 +403,5 @@ def polynomial_from_json(obj: dict) -> SparsePolynomial:
         if not all(type(e) is int for e in exp):
             raise TypeError(f"exponents must be JSON integers, got {item['exp']!r}")
         coeff = parse_rational(str(item["coeff"]))
-        terms[exp] = terms.get(exp, 0) + coeff
+        terms[exp] = terms[exp] + coeff if exp in terms else coeff
     return SparsePolynomial(nvars, terms)

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -553,6 +554,12 @@ def test_parser_is_the_single_source_of_settings():
     assert spectral.default is CorpusConfig.spectral_tolerance is SPECTRAL_TOLERANCE
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+def test_corpus_config_refuses_a_tolerance_that_is_not_finite(tolerance):
+    with pytest.raises(ValueError, match="spectral_tolerance"):
+        CorpusConfig(spectral_tolerance=tolerance)
+
+
 # -- shared plumbing ------------------------------------------------------------------
 
 
@@ -854,6 +861,12 @@ def test_zero_denominator_is_schema_error(write_json, capsys, args, name, obj):
         ["corpus", "--explicit-max-n", "0"],
         # corpus loads no matroid, so it has no enumeration bound
         ["corpus", "--enumeration-bound", "3"],
+        # a tolerance that is not finite gives no verdict and no JSON
+        ["spectral", "--poly", "p.json", "--tolerance", "nan"],
+        ["spectral", "--poly", "p.json", "--tolerance", "inf"],
+        ["spectral", "--poly", "p.json", "--tolerance", "1e400"],
+        ["corpus", "--tolerance", "nan"],
+        ["corpus", "--tolerance=-inf"],
     ],
 )
 def test_usage_errors_are_json(capsys, args):

@@ -164,6 +164,39 @@ def test_condition_report_json_shape():
     assert payload["condition5_matrix"] == [["-1", "1"], ["1", "-1"]]
 
 
+@pytest.mark.parametrize(
+    "f, log_concave",
+    [
+        # a product of linear forms is log-concave on the orthant
+        (
+            P(3, {(1, 1, 0): Fraction(1, 2), (1, 0, 1): Fraction(3, 2),
+                  (0, 2, 0): Fraction(1, 4), (0, 1, 1): Fraction(3, 4)}),
+            True,
+        ),
+        # two positive Hessian eigenvalues
+        (P(3, {(2, 0, 0): Fraction(1, 2), (0, 2, 0): Fraction(1, 3), (0, 0, 2): 2}), False),
+    ],
+    ids=["product", "sum-of-squares"],
+)
+def test_condition_report_matches_fraction_reference_at_rational_input(f, log_concave):
+    # non-integral coefficients and coordinates: every scale exceeds 1
+    a = (Fraction(1, 2), Fraction(2, 3), Fraction(5, 4))
+    report = log_concavity_condition_report(f, a)
+    values = helpers.reference_values_at(f, a, 2)
+    n = f.nvars
+    q = [[Fraction(values.get((min(i, j), max(i, j)), 0)) for j in range(n)] for i in range(n)]
+    qa = [sum(x * y for x, y in zip(row, a)) for row in q]
+    aqa = sum(x * y for x, y in zip(a, qa))
+    assert report.condition5_matrix == SymmetricMatrix(
+        [[aqa * q[i][j] - qa[i] * qa[j] for j in range(n)] for i in range(n)]
+    )
+    fa, pair = _reference_pair_matrix(f, a)
+    assert report.value == fa
+    assert report.condition1 is helpers.reference_is_negative_semidefinite(pair).is_nsd
+    assert report.condition1 is log_concave
+    assert report.agreement
+
+
 # -- indecomposability --------------------------------------------------------
 
 

@@ -206,11 +206,16 @@ def test_evaluate_dimension_checked():
         P(2, {(1, 1): 1}).evaluate((1,))
 
 
-def _random_polynomial(rng, nv):
-    """Mixed-sign int and Fraction coefficients, exponents up to 3."""
+def _random_polynomial(rng, nv, low_degree=False):
+    """Mixed-sign int and Fraction coefficients, exponents up to 3, or
+    total degree 0 or 1 when ``low_degree``."""
     terms = {}
     for _ in range(rng.randint(1, 8)):
-        exp = tuple(rng.randint(0, 3) for _ in range(nv))
+        if low_degree:
+            k = rng.randint(0, nv)  # nv gives the constant term
+            exp = tuple(int(i == k) for i in range(nv))
+        else:
+            exp = tuple(rng.randint(0, 3) for _ in range(nv))
         if rng.random() < 0.5:
             terms[exp] = rng.randint(-9, 9)
         else:
@@ -218,29 +223,59 @@ def _random_polynomial(rng, nv):
     return P(nv, terms)
 
 
+def _reference_layout(f, a, order):
+    """reference_values_at laid out as _values_at returns its values:
+    the value, the gradient and the Hessian rows, up to ``order``."""
+    ref = reference_values_at(f, a, order)
+    n = f.nvars
+    return [
+        ref.get((), 0),
+        [ref.get((i,), 0) for i in range(n)],
+        [[ref.get((min(i, j), max(i, j)), 0) for j in range(n)] for i in range(n)],
+    ][: order + 1]
+
+
+def _entries(values):
+    """(k, entry) for every entry of the order-k derivatives in a layout."""
+    value, *derived = values
+    out = [(0, value)]
+    if derived:
+        out += [(1, x) for x in derived[0]]
+    if len(derived) > 1:
+        out += [(2, x) for row in derived[1] for x in row]
+    return out
+
+
 def test_values_match_full_products_exactly():
-    # same keys in the same order, same values and types; at float points
-    # f itself is multiplied in the same order, so it matches bit for bit
+    # at rational points every value is an int that its scale divides
+    # back to the reference; at float points every scale is 1 and f itself
+    # is multiplied in the same order, so it matches bit for bit
     rng = random.Random(23)
-    for _ in range(300):
+    for trial in range(300):
         nv = rng.randint(1, 6)
-        f = _random_polynomial(rng, nv)
+        # every third f has degree 0 or 1, below the orders asked for
+        f = _random_polynomial(rng, nv, low_degree=trial % 3 == 0)
         coordinate = rng.choice([
             lambda: Fraction(rng.randint(0, 3)),
             lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+            lambda: Fraction(rng.choice((0, 0, 3)), rng.choice((1, 2, 6))),
             lambda: rng.randint(-2, 3),
             lambda: rng.uniform(-2.0, 2.0),
         ])
         a = tuple(coordinate() for _ in range(nv))
         for order in (0, 1, 2):
-            got, expected = f._values_at(a, order), reference_values_at(f, a, order)
-            assert list(got) == list(expected)
-            if isinstance(a[0], float) and order:
-                assert all(got[k] == pytest.approx(expected[k]) for k in got)
+            values, scales = f._values_at(a, order)
+            got = _entries(values)
+            expected = [x for _, x in _entries(_reference_layout(f, a, order))]
+            assert len(values) == len(scales) == order + 1
+            assert len(got) == len(expected)
+            if isinstance(a[0], float):
+                assert scales == (1,) * (order + 1)
+                assert (got[0][1], type(got[0][1])) == (expected[0], type(expected[0]))
+                assert all(x == pytest.approx(y) for (_, x), y in zip(got, expected))
             else:
-                assert [(v, type(v)) for v in got.values()] == [
-                    (v, type(v)) for v in expected.values()
-                ]
+                assert all(type(x) is int for _, x in got)
+                assert [Fraction(x, scales[k]) for k, x in got] == expected
 
 
 def test_values_match_symbolic_route():
