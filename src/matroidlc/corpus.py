@@ -21,11 +21,11 @@ import itertools
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 from .logconcavity import spectral_nd_report
 from .mason import mason_report
-from .matroid import Matroid, _find, from_independence_family, graphic, linear, uniform
+from .matroid import Matroid, from_independence_family, graphic, linear, uniform
 
 SCHEMA_VERSION = 1
 # largest eigenvalue a spectral diagnostic may have and still pass
@@ -68,14 +68,6 @@ class CorpusConfig:
 # -- connected graphs up to isomorphism ---------------------------------
 
 
-def _is_connected(v: int, edges: Iterable[Tuple[int, int]]) -> bool:
-    parent = list(range(v))
-    for a, b in edges:
-        parent[_find(parent, a)] = _find(parent, b)
-    root = _find(parent, 0)
-    return all(_find(parent, i) == root for i in range(v))
-
-
 def connected_graphs(max_vertices: int) -> List[Tuple[int, tuple]]:
     """All connected simple graphs with <= max_vertices vertices, one
     per isomorphism class, with 0-based vertex pairs.
@@ -87,7 +79,8 @@ def connected_graphs(max_vertices: int) -> List[Tuple[int, tuple]]:
     relabelings, so a search along those two moves visits the whole
     orbit of an edge set, and every edge set is visited once.  The
     canonical representative of a class is the lexicographically
-    smallest sorted edge list in its orbit.
+    smallest sorted edge list in its orbit.  It is connected when its
+    graphic matroid has rank v - 1, the size of a spanning tree.
     """
     out = []
     for v in range(1, max_vertices + 1):
@@ -111,7 +104,7 @@ def connected_graphs(max_vertices: int) -> List[Tuple[int, tuple]]:
                         seen[image] = 1
                         orbit.append(image)
             edges = min(tuple(p for i, p in enumerate(pairs) if m >> i & 1) for m in orbit)
-            if _is_connected(v, edges):
+            if _graphic_from_pairs(v, edges).rank == v - 1:
                 found.append(edges)
         found.sort(key=lambda es: (len(es), es))
         out.extend((v, es) for es in found)

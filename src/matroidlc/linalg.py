@@ -8,8 +8,9 @@ The one nontrivial algorithm here is the negative semidefiniteness test.
 It clears the denominators of -Q and runs a fraction-free (Bareiss)
 symmetric elimination in Python ints, so the verdict carries no floating
 point doubt.  A zero pivot is legal only when its entire remaining row
-is zero; any other failure yields a rational witness vector v with
-v^T Q v > 0 which is re-verified before being returned.
+is zero; any other failure yields a witness v with v^T Q v > 0, lifted
+back through the elimination in ints to a primitive integer vector and
+re-verified before being returned.
 """
 
 from __future__ import annotations
@@ -129,13 +130,10 @@ def _cleared(v: Iterable) -> tuple:
     return [x.numerator * (scale // x.denominator) for x in v], scale
 
 
-def _primitive(v: Iterable[Fraction]) -> tuple:
-    """Scale a rational vector to coprime integers (sign preserved)."""
-    ints, _ = _cleared(v)
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+def _primitive(v: Sequence[int]) -> tuple:
+    """A nonzero int vector over the gcd of its entries (sign preserved)."""
+    g = gcd(*v)
+    return tuple([x // g for x in v])
 
 
 def is_negative_semidefinite(q: SymmetricMatrix) -> NsdResult:
@@ -160,7 +158,9 @@ def is_negative_semidefinite(q: SymmetricMatrix) -> NsdResult:
     c at column j gives the indefinite 2x2 block [[0, c], [c, b]] of P_t,
     defeated by w = -(b+1)/(2c) e_k + e_j which has w^T P_t w = -1; in
     the scaled entries b = b'/(D prev) and c = c'/(D prev), so
-    w_k = -(b' + D prev)/(2c').
+    w_k = -(b' + D prev)/(2c').  The lift keeps the ray of w in ints: it
+    starts w times 2|c'|, applies each L_k^T times its pivot a_kk > 0,
+    and returns the primitive vector on the ray.
     """
     d = q.dim
     rows = q.rows()
@@ -171,7 +171,9 @@ def is_negative_semidefinite(q: SymmetricMatrix) -> NsdResult:
 
     def lift(w):
         for k, pivot, mults in reversed(steps):
-            w[k] -= Fraction(sum(a * w[i] for i, a in mults), pivot)
+            t = sum(a * w[i] for i, a in mults)
+            w = [x * pivot for x in w]
+            w[k] -= t
         witness = _primitive(w)
         if q.quad(witness) <= 0:
             raise ConsistencyError("NSD witness failed its own re-check")
@@ -181,16 +183,14 @@ def is_negative_semidefinite(q: SymmetricMatrix) -> NsdResult:
         krow = p[k]
         pivot = krow[k]
         if pivot < 0:
-            w = [Fraction(0)] * d
-            w[k] = Fraction(1)
-            return NsdResult(False, lift(w))
+            return NsdResult(False, lift([int(i == k) for i in range(d)]))
         if pivot == 0:
             bad = next((j for j in range(k + 1, d) if krow[j] != 0), None)
             if bad is None:
                 continue
-            w = [Fraction(0)] * d
-            w[k] = Fraction(-(p[bad][bad] + den * prev), 2 * krow[bad])
-            w[bad] = Fraction(1)
+            w = [0] * d
+            w[k] = (p[bad][bad] + den * prev) * (-1 if krow[bad] > 0 else 1)
+            w[bad] = 2 * abs(krow[bad])
             return NsdResult(False, lift(w))
         mults = []
         for i in range(k + 1, d):

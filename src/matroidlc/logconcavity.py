@@ -145,11 +145,12 @@ def log_concave_at(f: SparsePolynomial, a: Sequence) -> bool:
     a = _rational_point(f, a)
     if f.is_zero() or f.total_degree() <= 1:
         return True
-    if f.evaluate(a) == 0:
+    (fa, _, hess), (*_, scale) = f._values_at(a, 2)
+    if fa == 0:
         raise ZeroAtPoint(
             "f vanishes at the point; use functional sampling for boundary diagnostics"
         )
-    return bool(is_negative_semidefinite(log_concavity_test_matrix(f, a)))
+    return bool(is_negative_semidefinite(_test_matrix(hess, scale, a)))
 
 
 # -- indecomposability ---------------------------------------------------

@@ -14,9 +14,10 @@ original label space.
 
 Subsets are handled internally as bitmasks (bit i-1 holds element i).
 Each kind states its independence rule once, as one step from the state
-of an independent I to that of I + e (see ``Matroid``).  Independence
-tests, greedy rank, one-step extensions, contraction and the one
-enumeration DFS are derived from that step.  Enumeration caches the
+of an independent I to that of I + e (see ``Matroid``; a linear step
+eliminates in ints over Q and GF(p) alike).  Independence tests, greedy
+rank, one-step extensions, contraction and the one enumeration DFS are
+derived from that step.  Enumeration caches the
 family as a frozenset of masks, guarded by a size bound; an explicit
 matroid holds its family from the start, and checks the axioms on it
 when it is constructed, so every ``Matroid`` is a matroid.
@@ -38,7 +39,7 @@ from .errors import (
     NonPrimeModulus,
     NotIndependent,
 )
-from .linalg import _cleared
+from .linalg import _cleared, _primitive
 
 # Exhaustive subset enumeration refuses ground sets above this size
 # unless the caller raises the bound explicitly.
@@ -383,9 +384,11 @@ class GraphicMatroid(Matroid):
 class LinearMatroid(Matroid):
     """Columns of a matrix over GF(p) or over the rationals (modulus 0).
 
-    Rational columns are stored with denominators cleared; scaling a
-    column never changes which subsets are independent.  A state is a
-    pivot-normalized basis of the span, as (pivot, row) pairs.
+    Columns are ints, rational ones with denominators cleared; scaling a
+    column never changes which subsets are independent.  A state is an
+    echelon basis of the span, as (k, row) pairs of int rows led at k by
+    1 over GF(p) and primitive over Q.  One update, v <- b_k v - v_k b,
+    taken mod p over GF(p) (where b_k = 1), clears v_k in either field.
     """
 
     kind = "linear"
@@ -412,25 +415,26 @@ class LinearMatroid(Matroid):
 
     def _extend(self, basis, e):
         p = self.modulus
-        col = self.columns[e - 1]
-        v = list(col) if p else [Fraction(x) for x in col]
-        for pivot, bv in basis:
-            c = v[pivot]
+        v = self.columns[e - 1]
+        for k, b in basis:
+            c = v[k]
             if c:
+                bk = b[k]
                 if p:
-                    v = [(a - c * b) % p for a, b in zip(v, bv)]
+                    v = [(bk * x - c * y) % p for x, y in zip(v, b)]
                 else:
-                    v = [a - c * b for a, b in zip(v, bv)]
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
+                    v = [bk * x - c * y for x, y in zip(v, b)]
+        for k, lead in enumerate(v):
+            if lead:
+                break
+        else:
             return None
-        lead = v[pivot]
         if p:
             inv = pow(lead, -1, p)
-            v = [(x * inv) % p for x in v]
+            v = tuple([x * inv % p for x in v])
         else:
-            v = [x / lead for x in v]
-        return basis + ((pivot, tuple(v)),)
+            v = _primitive(v)
+        return basis + ((k, v),)
 
     def to_json(self) -> dict:
         return {

@@ -26,7 +26,7 @@ from matroidlc import (
     log_concavity_test_matrix,
     uniform,
 )
-from matroidlc.linalg import NsdResult, _primitive
+from matroidlc.linalg import NsdResult, _cleared, _primitive
 from matroidlc.logconcavity import CertificateCheck, CLCCertificate
 
 
@@ -177,6 +177,17 @@ def single_loop():
     return from_independence_family(1, [[]])
 
 
+def signed_rational():
+    """Rank 3 over Q with signed, fractional entries: column 3 is -3/2
+    times column 1 and column 4 their sum with column 2, and the
+    elimination meets negative and non-unit pivots."""
+    c1 = (Fraction(-2, 3), Fraction(1, 2), 1)
+    c2 = (3, Fraction(-3, 4), 0)
+    c3 = tuple(Fraction(-3, 2) * x for x in c1)
+    c4 = tuple(x + y for x, y in zip(c1, c2))
+    return linear([c1, c2, c3, c4, (0, Fraction(5, 2), Fraction(-1, 3)), (Fraction(1, 2), 0, -5)], 0)
+
+
 def sparse_contraction():
     """K4 with edge 3 contracted: labels 1, 2, 4, 5, 6 of ambient 6, with
     parallel classes {1, 5}, {2, 6} and {4}."""
@@ -199,6 +210,7 @@ def zoo():
         linear([[1, 0], [0, 1], [1, 1]], 2),
         linear([[0, 0], [1, 2], [2, 4], [1, 0]], 5),
         linear([[Fraction(1, 2), 0], [1, 1], [0, 3]], 0),
+        signed_rational(),
     ]
 
 
@@ -264,7 +276,7 @@ def reference_is_negative_semidefinite(q):
                 row = e[i]
                 for m in range(d):
                     v[m] += wi * row[m]
-        witness = _primitive(v)
+        witness = _primitive(_cleared(v)[0])
         if q.quad(witness) <= 0:
             raise ConsistencyError("NSD witness failed its own re-check")
         return witness

@@ -1,7 +1,9 @@
 """Matroid construction, validation, queries, and contraction."""
 
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -299,11 +301,36 @@ def test_graphic_state_covers_only_occurring_endpoints():
 def test_linear_family_matches_gaussian_oracle(modulus):
     rng = random.Random(modulus + 17)
     top = modulus if modulus else 4
-    columns = [[rng.randrange(top) for _ in range(3)] for _ in range(6)]
-    m = linear(columns, modulus)
-    assert {frozenset(s) for s in m.independent_sets()} == linear_independence_family(
-        columns, modulus
-    )
+    cases = [[[rng.randrange(top) for _ in range(3)] for _ in range(6)]]
+    if not modulus:
+        # signed rational columns, the last a combination of the first two
+        for height in range(2, 6):
+            cols = [
+                [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(height)]
+                for _ in range(6)
+            ]
+            cols.append([x - Fraction(3, 2) * y for x, y in zip(cols[0], cols[1])])
+            cases.append(cols)
+    for columns in cases:
+        m = linear(columns, modulus)
+        assert {frozenset(s) for s in m.independent_sets()} == linear_independence_family(
+            columns, modulus
+        )
+
+
+@pytest.mark.parametrize("m", [m for m in zoo() if m.kind == "linear"], ids=repr)
+def test_linear_states_hold_integer_rows(m):
+    """Each state row is ints with its first nonzero entry at its k: a
+    1 over GF(p), and a primitive row over Q."""
+    for mask in m.independent_set_masks():
+        for k, row in m._state_of(mask):
+            assert all(type(x) is int for x in row)
+            assert not any(row[:k]) and row[k]
+            if m.modulus:
+                assert row[k] == 1
+                assert all(0 <= x < m.modulus for x in row)
+            else:
+                assert math.gcd(*row) == 1
 
 
 @pytest.mark.parametrize("m", zoo(), ids=lambda m: repr(m))
