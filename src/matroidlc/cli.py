@@ -22,8 +22,9 @@ is a FileError reported on standard output), 3 standard output cannot
 be written (one line on standard error, no JSON).  The enumeration
 bound, 20 elements by default and at most 24, is set per run with
 --enumeration-bound and applied once, as a matroid is loaded: an
-explicit n above it is refused before the family is built, and every
-command but validate enumerates the family there.  corpus loads no
+explicit n above it is refused before the family is built, rank-sequence
+and mason count the independent sets there without listing them, and
+certify-clc and spectral list the family there.  corpus loads no
 matroid, so it takes no bound.  A --poly input has at most
 MAX_POLY_NVARS = 25 variables, and a rational literal is bounded by
 matroid.parse_rational; a result too long to print is an OutputError.
@@ -171,11 +172,16 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _load_matroid(args: argparse.Namespace):
+def _load_matroid(args: argparse.Namespace, listed: bool = True):
+    """The --input matroid, listed, or only counted when ``listed`` is
+    false, under the run's bound."""
     if not args.input_path:
         raise _InputError("UsageError", "this command requires --input MATROID_JSON")
     m = _parse_matroid(_load_json(args.input_path), args.enumeration_bound)
-    m.independent_set_masks(args.enumeration_bound)
+    if listed:
+        m.independent_set_masks(args.enumeration_bound)
+    else:
+        m.count_independent_by_size(args.enumeration_bound)
     return m
 
 
@@ -283,7 +289,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank_sequence(args: argparse.Namespace) -> int:
-    m = _load_matroid(args)
+    m = _load_matroid(args, listed=False)
     counts = m.count_independent_by_size()
     _emit(
         args,
@@ -299,7 +305,8 @@ def _cmd_rank_sequence(args: argparse.Namespace) -> int:
 
 
 def _cmd_mason(args: argparse.Namespace) -> int:
-    m = _load_matroid(args)
+    # the sequence, the certificate's length and the minors read only the counts
+    m = _load_matroid(args, listed=False)
     report = mason_report(m)
     ok = report.ulc.form3_all and report.certificate.accepted
     payload = report.to_json()

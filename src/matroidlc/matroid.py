@@ -16,11 +16,13 @@ Subsets are handled internally as bitmasks (bit i-1 holds element i).
 Each kind states its independence rule once, as one step from the state
 of an independent I to that of I + e (see ``Matroid``; a linear step
 eliminates in ints over Q and GF(p) alike).  Independence tests, greedy
-rank, one-step extensions, contraction and the one enumeration DFS are
-derived from that step.  Enumeration caches the
-family as a frozenset of masks, guarded by a size bound; an explicit
-matroid holds its family from the start, and checks the axioms on it
-when it is constructed, so every ``Matroid`` is a matroid.
+rank, one-step extensions, contraction and the one DFS over independent
+sets are derived from that step.  The DFS counts the sets by size as it
+walks and lists them only when asked.  The family is cached as a
+frozenset of masks and the counts as a tuple, each behind the same size
+bound, so a query that needs only the counts never holds the family.
+An explicit matroid holds its family from the start, and checks the
+axioms on it when it is constructed, so every ``Matroid`` is a matroid.
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ def _mask_bits(mask: int) -> tuple:
 
 def _set_of(mask: int) -> frozenset:
     return frozenset(_mask_bits(mask))
+
+
+def _sizes(masks, n: int) -> list:
+    """How many of the masks have each size 0..n."""
+    counts = [0] * (n + 1)
+    for m in masks:
+        counts[m.bit_count()] += 1
+    return counts
 
 
 def _find(parent: list, x: int) -> int:
@@ -100,6 +110,7 @@ class Matroid:
         self._ground_mask = ground_mask
         self.ambient = ambient
         self._family_cache: Optional[frozenset] = None
+        self._counts_cache: Optional[tuple] = None
         self._rank_cache: Optional[int] = None
 
     # -- representation-specific -------------------------------------
@@ -124,27 +135,49 @@ class Matroid:
                 break
         return state
 
-    def _enumerate_masks(self) -> Iterable[int]:
-        """DFS over independent sets, ascending-label chains.
+    def _walk(self, found: Optional[list] = None) -> list:
+        """Counts I_0..I_n by a DFS over independent sets, appending the
+        mask of each one to ``found`` when it is given.
 
         Downward closure guarantees every independent set is reachable
         by inserting its elements in increasing order.  Each node keeps
-        its state, so each child costs one step.
+        its state, so each child costs one step.  A child one size short
+        of the rank is not pushed: its children are bases, counted on
+        the spot, and a basis is never tried for an extension.
         """
+        r = self.rank
+        counts = [0] * (self.n_elements + 1)
+        counts[0] = 1
+        if found is not None:
+            found.append(0)
+        if r == 0:
+            return counts
         extend = self._extend
-        steps = [(1 << (e - 1), e) for e in self.ground]
-        found = [0]
-        stack = [(0, 0, self._start())]
+        steps = [(1 << (e - 1), e, i + 1) for i, e in enumerate(self.ground)]
+        # tails[i]: the steps from index i on, each with the index after it
+        tails = [steps[i:] for i in range(len(steps) + 1)]
+        # a node: its mask, the size of its children, its first step, its state
+        stack = [(0, 1, 0, self._start())]
+        push, pop = stack.append, stack.pop
         while stack:
-            mask, start, state = stack.pop()
-            for idx in range(start, len(steps)):
-                bit, e = steps[idx]
+            mask, size, start, state = pop()
+            deeper = size + 1 < r
+            for bit, e, after in tails[start]:
                 child = extend(state, e)
-                if child is not None:
-                    cand = mask | bit
+                if child is None:
+                    continue
+                cand = mask | bit
+                counts[size] += 1
+                if found is not None:
                     found.append(cand)
-                    stack.append((cand, idx + 1, child))
-        return found
+                if deeper:
+                    push((cand, size + 1, after, child))
+                elif size < r:
+                    bases = [cand | b for b, f, _ in tails[after] if extend(child, f) is not None]
+                    counts[r] += len(bases)
+                    if found is not None:
+                        found.extend(bases)
+        return counts
 
     # -- shared queries ------------------------------------------------
 
@@ -208,24 +241,39 @@ class Matroid:
         it.  A ground set above ``limit`` (default DEFAULT_ENUMERATION_LIMIT)
         is refused before any work; a cached family is returned whatever the
         limit, so one call with a larger limit lifts the bound for all queries.
+        The walk that lists the family counts it too.
         """
         if self._family_cache is None:
-            bound = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
-            check_enumeration_bound(self.n_elements, bound)
-            self._family_cache = frozenset(self._enumerate_masks())
+            self._check_bound(limit)
+            found = []
+            self._counts_cache = tuple(self._walk(found))
+            self._family_cache = frozenset(found)
         return self._family_cache
 
     def independent_sets(self) -> list:
         fam = self.independent_set_masks()
         return sorted((_set_of(m) for m in fam), key=lambda s: (len(s), sorted(s)))
 
-    def count_independent_by_size(self) -> tuple:
-        """Sequence I_0..I_n of independent-set counts; I_0 is always 1."""
-        n = self.n_elements
-        counts = [0] * (n + 1)
-        for m in self.independent_set_masks():
-            counts[m.bit_count()] += 1
-        return tuple(counts)
+    def count_independent_by_size(self, limit: Optional[int] = None) -> tuple:
+        """Sequence I_0..I_n of independent-set counts; I_0 is always 1.
+
+        The bounded entry to the counts, cached like the family: read off
+        the family when it is held, otherwise counted by the same walk
+        without listing, under the same ``limit``.
+        """
+        if self._counts_cache is None:
+            fam = self._family_cache
+            if fam is None:
+                self._check_bound(limit)
+                counts = self._walk()
+            else:
+                counts = _sizes(fam, self.n_elements)
+            self._counts_cache = tuple(counts)
+        return self._counts_cache
+
+    def _check_bound(self, limit: Optional[int]) -> None:
+        bound = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
+        check_enumeration_bound(self.n_elements, bound)
 
     def parallel_partition(self) -> ParallelPartition:
         """Loops and parallel classes from singleton and pair ranks."""
@@ -464,12 +512,15 @@ class _Contraction(Matroid):
     def _extend(self, state, e):
         return self.base._extend(state, e)
 
-    def _enumerate_masks(self) -> Iterable[int]:
+    def _walk(self, found: Optional[list] = None) -> list:
         fam = self.base._family_cache
         if fam is None:
-            return super()._enumerate_masks()
+            return super()._walk(found)
         s = self.smask
-        return [m & ~s for m in fam if m & s == s]
+        masks = [m ^ s for m in fam if m & s == s]
+        if found is not None:
+            found.extend(masks)
+        return _sizes(masks, self.n_elements)
 
 
 # Miller-Rabin on the first 13 primes as bases decides primality exactly

@@ -23,6 +23,7 @@ import helpers
 from helpers import brute_axiom_failure, polynomial_to_json, powerset
 from matroidlc import (
     CorpusConfig,
+    Matroid,
     certify_clc_matroid,
     certify_clc_quadratic_criterion,
     cli,
@@ -30,9 +31,11 @@ from matroidlc import (
     logconcavity,
     matroid_from_json,
     polynomial_from_json,
+    run_sweep,
 )
 from matroidlc import matroid as matroid_module
 from matroidlc.corpus import SPECTRAL_TOLERANCE, connected_graphs
+from matroidlc.matroid import _Contraction
 
 U23 = {"kind": "uniform", "r": 2, "n": 3}
 K3 = {"kind": "graphic", "vertices": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
@@ -297,6 +300,70 @@ def test_mason_graphic(write_json, capsys):
     assert payload["ulc"]["form3_all"] is True
 
 
+# -- walks: count for the counts, list once for the family ------------------------
+
+WALK_INPUTS = {
+    "uniform": {"kind": "uniform", "r": 3, "n": 7},
+    # K4 with a doubled edge
+    "graphic": {
+        "kind": "graphic",
+        "vertices": 4,
+        "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4], [3, 4]],
+    },
+    # a loop and a parallel pair among six columns of rank 3
+    "linear-gf3": {
+        "kind": "linear",
+        "modulus": 3,
+        "columns": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 2, 1], [2, 1, 2], [0, 0, 0]],
+    },
+    "linear-q": {
+        "kind": "linear",
+        "modulus": 0,
+        "columns": [["1/2", "0"], ["1", "-3"], ["-1", "6"], ["0", "2/3"]],
+    },
+}
+
+
+def log_walks(monkeypatch) -> list:
+    """Log every walk from here on as (matroid, listing); a contraction
+    that falls back to the DFS of Matroid logs its walk once."""
+    log = []
+    for cls in (Matroid, _Contraction):
+
+        def walk(self, found=None, _cls=cls, _walk=cls._walk):
+            if _cls is _Contraction or not isinstance(self, _Contraction):
+                log.append((self, found is not None))
+            return _walk(self, found)
+
+        monkeypatch.setattr(cls, "_walk", walk)
+    return log
+
+
+@pytest.mark.parametrize("name", WALK_INPUTS)
+@pytest.mark.parametrize("command", ["rank-sequence", "mason"])
+def test_count_commands_never_list_the_family(write_json, capsys, monkeypatch, command, name):
+    argv = [command, "--input", write_json("m.json", WALK_INPUTS[name])]
+    expected = (cli.main(argv), *capsys.readouterr())
+    assert expected[0] == 0
+
+    def refuse(self, limit=None):
+        raise AssertionError("the family was listed")
+
+    monkeypatch.setattr(Matroid, "independent_set_masks", refuse)
+    assert (cli.main(argv), *capsys.readouterr()) == expected
+
+
+@pytest.mark.parametrize("name", WALK_INPUTS)
+@pytest.mark.parametrize("command", ["certify-clc", "spectral", "spectral --bases", "validate"])
+def test_listing_commands_walk_once(write_json, capsys, monkeypatch, command, name):
+    path = write_json("m.json", WALK_INPUTS[name])
+    walks = log_walks(monkeypatch)
+    assert cli.main(command.split() + ["--input", path]) == 0
+    capsys.readouterr()
+    # one listing walk, with no count walk before it
+    assert [listing for _, listing in walks] == [True]
+
+
 # -- certify-clc -------------------------------------------------------------------
 
 
@@ -514,6 +581,19 @@ def test_corpus_output_is_deterministic(capsys):
     code2, payload2, _ = invoke(capsys, SMALL_CORPUS + ["--seed", "5"])
     assert code1 == code2 == 0
     assert payload1 == payload2
+
+
+def test_sweep_walks_each_matroid_once(monkeypatch):
+    # the spectral report lists the family before mason_report reads its
+    # counts; the other order walks every non-explicit instance twice
+    config = CorpusConfig(
+        graphic_max_vertices=4, uniform_max_n=6, linear_count=20, explicit_count=30
+    )
+    expected = run_sweep(config)
+    walks = log_walks(monkeypatch)
+    assert run_sweep(config) == expected
+    walked = [id(m) for m, _ in walks]
+    assert walked and len(walked) == len(set(walked))
 
 
 def test_six_vertex_graphs_are_one_per_isomorphism_class(capsys):

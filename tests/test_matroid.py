@@ -50,6 +50,7 @@ from matroidlc.matroid import (
     LinearMatroid,
     UniformMatroid,
     _is_prime,
+    _mask_bits,
 )
 
 
@@ -348,6 +349,80 @@ def test_counts_sum_and_first_entry():
         assert counts[0] == 1
         assert sum(counts) == len(m.independent_set_masks())
         assert all(c == 0 for c in counts[m.rank + 1 :])
+
+
+# -- the walk: counts as it goes, lists only when asked ------------------------
+
+
+def _walk_cases():
+    """Fresh instances: zoo() and every U(r, n) with n <= 10."""
+    return zoo() + [uniform(r, n) for n in range(11) for r in range(n + 1)]
+
+
+def _walk_id(m):
+    return f"U({m.r},{m.n_elements})" if m.kind == "uniform" else repr(m)
+
+
+def _sizes(masks, n):
+    counts = [0] * (n + 1)
+    for mask in masks:
+        counts[mask.bit_count()] += 1
+    return tuple(counts)
+
+
+def _assert_walks_agree(m, masks):
+    """The counting walk (or the held family), the listing walk's counts
+    and list, and the sizes of the family all match the oracle's masks."""
+    expected = _sizes(masks, m.n_elements)
+    assert m.count_independent_by_size() == expected
+    found = []
+    assert tuple(m._walk(found)) == expected
+    assert sorted(found) == sorted(masks)
+    assert _sizes(m.independent_set_masks(), m.n_elements) == expected
+
+
+@pytest.mark.parametrize(
+    "index", range(len(_walk_cases())), ids=[_walk_id(m) for m in _walk_cases()]
+)
+def test_counting_and_listing_walks_agree(index):
+    m = _walk_cases()[index]
+    counts = m.count_independent_by_size()
+    # counting leaves the family unlisted
+    assert m._family_cache is None or m.kind == "explicit"
+    if m.kind == "uniform":
+        n = m.n_elements
+        assert counts == tuple(math.comb(n, k) if k <= m.r else 0 for k in range(n + 1))
+    masks = [_mask(s) for s in oracle_family(m)]
+    _assert_walks_agree(m, masks)
+    contractions = [(j, [x ^ j for x in masks if x & j == j]) for j in masks]
+    for base_listed in (False, True):
+        base = _walk_cases()[index]
+        if base_listed:
+            base.independent_set_masks()
+        for j, below in contractions:
+            _assert_walks_agree(base.contract(_mask_bits(j)), below)
+
+
+@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("listed", [False, True], ids=["counted", "listed"])
+def test_walk_never_extends_a_basis(n, listed):
+    # one step per nonempty independent set of U(r, n), once the rank is known
+    for r in range(n + 1):
+        m = uniform(r, n)
+        assert m.rank == r
+        steps = m._extend
+        calls = []
+
+        def counted(state, e):
+            calls.append(e)
+            return steps(state, e)
+
+        m._extend = counted
+        if listed:
+            m.independent_set_masks()
+        else:
+            m.count_independent_by_size()
+        assert len(calls) == sum(math.comb(n, j) for j in range(1, r + 1))
 
 
 # -- parallel partition invariants ------------------------------------------
