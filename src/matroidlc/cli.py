@@ -23,11 +23,12 @@ be written (one line on standard error, no JSON).  The enumeration
 bound, 20 elements by default and at most 24, is set per run with
 --enumeration-bound and applied once, as a matroid is loaded: an
 explicit n above it is refused before the family is built, rank-sequence
-and mason count the independent sets there without listing them, and
-certify-clc and spectral list the family there.  corpus loads no
-matroid, so it takes no bound.  A --poly input has at most
-MAX_POLY_NVARS = 25 variables, and a rational literal is bounded by
-matroid.parse_rational; a result too long to print is an OutputError.
+and mason count the independent sets there without listing them (a
+uniform matroid by its binomials, with no walk), and certify-clc and
+spectral list the family there.  corpus loads no matroid, so it takes
+no bound.  A --poly input has at most MAX_POLY_NVARS = 25 variables,
+and a rational literal is bounded by matroid.parse_rational; a result
+too long to print is an OutputError.
 
 The parser alone declares each setting: its flag, the namespace
 attribute it lands in and its default.  Handlers read that namespace;

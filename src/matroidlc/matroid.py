@@ -18,7 +18,9 @@ of an independent I to that of I + e (see ``Matroid``; a linear step
 eliminates in ints over Q and GF(p) alike).  Independence tests, greedy
 rank, one-step extensions, contraction and the one DFS over independent
 sets are derived from that step.  The DFS counts the sets by size as it
-walks and lists them only when asked.  The family is cached as a
+walks and lists them only when asked.  U(r, n) alone answers two queries
+in closed form: its rank is r, and its counts are C(n, k) for k <= r,
+with no walk; listing its sets still walks.  The family is cached as a
 frozenset of masks and the counts as a tuple, each behind the same size
 bound, so a query that needs only the counts never holds the family.
 An explicit matroid holds its family from the start, and checks the
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -55,8 +59,11 @@ def check_enumeration_bound(n: int, bound: int) -> None:
 
 
 def _mask_bits(mask: int) -> tuple:
-    """Element labels present in a mask, ascending."""
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    """Element labels present in a mask, ascending, in time linear in its
+    length: the binary digits from bit 0 up split at each set bit into
+    runs of zeros, and a set bit's label is the running total of the
+    runs before it, each plus one."""
+    return tuple(accumulate(len(zeros) + 1 for zeros in bin(mask)[:1:-1].split("1")[:-1]))
 
 
 def _set_of(mask: int) -> frozenset:
@@ -259,7 +266,7 @@ class Matroid:
 
         The bounded entry to the counts, cached like the family: read off
         the family when it is held, otherwise counted by the same walk
-        without listing, under the same ``limit``.
+        without listing (by binomials for U(r, n)), under the same ``limit``.
         """
         if self._counts_cache is None:
             fam = self._family_cache
@@ -363,7 +370,9 @@ class ExplicitMatroid(Matroid):
 
 
 class UniformMatroid(Matroid):
-    """U(r, n): independence is just cardinality at most r."""
+    """U(r, n): independence is just cardinality at most r.  The rank is
+    r and the counts are C(n, k) for k <= r, with no greedy pass and no
+    walk; listing still walks."""
 
     kind = "uniform"
 
@@ -372,6 +381,14 @@ class UniformMatroid(Matroid):
             raise InvalidRank(f"need 0 <= r <= n, got r={r}, n={n}")
         super().__init__((1 << n) - 1, n)
         self.r = r
+        self._rank_cache = r
+
+    def count_independent_by_size(self, limit: Optional[int] = None) -> tuple:
+        if self._counts_cache is None and self._family_cache is None:
+            self._check_bound(limit)
+            n = self.n_elements
+            self._counts_cache = tuple(comb(n, k) if k <= self.r else 0 for k in range(n + 1))
+        return super().count_independent_by_size(limit)
 
     def _start(self):
         return 0

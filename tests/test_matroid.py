@@ -421,8 +421,67 @@ def test_walk_never_extends_a_basis(n, listed):
         if listed:
             m.independent_set_masks()
         else:
-            m.count_independent_by_size()
+            # the counting walk itself; U(r, n) counts by its binomials
+            m._walk()
         assert len(calls) == sum(math.comb(n, j) for j in range(1, r + 1))
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_uniform_counts_and_rank_take_no_step(n):
+    for r in range(n + 1):
+        m = uniform(r, n)
+        calls = []
+        steps = m._extend
+
+        def counted(state, e):
+            calls.append(e)
+            return steps(state, e)
+
+        m._extend = counted
+        counts = m.count_independent_by_size()
+        assert counts == tuple(math.comb(n, k) if k <= r else 0 for k in range(n + 1))
+        assert m.rank == r
+        assert calls == []
+        assert m._family_cache is None
+        assert m.count_independent_by_size() is counts
+
+
+def test_uniform_counts_keep_the_bound():
+    big = uniform(1, 21)
+    with pytest.raises(EnumerationLimitExceeded):
+        big.count_independent_by_size()
+    assert big.count_independent_by_size(21) == U_1_21_COUNTS
+    # a cached tuple is returned whatever the limit
+    assert big.count_independent_by_size() == U_1_21_COUNTS
+    assert big._family_cache is None
+
+
+def test_uniform_counts_read_a_held_family():
+    # a family one set short shows that the held family is read, not
+    # replaced by the binomials
+    m = uniform(2, 4)
+    m._family_cache = uniform(2, 4).independent_set_masks() - {0b11}
+    assert m.count_independent_by_size() == (1, 4, 5, 0, 0)
+
+
+def _reference_mask_bits(mask):
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_mask_bits_match_reference():
+    rng = random.Random(23)
+    masks = [0, 1, 2, 3, (1 << 300) - 1, 1 << 299]
+    masks += [rng.getrandbits(rng.randint(1, 300)) for _ in range(2000)]
+    for mask in masks:
+        assert _mask_bits(mask) == _reference_mask_bits(mask)
+
+
+def test_mask_bits_is_linear_in_the_mask_length():
+    # one shift per bit is quadratic in the length of the mask
+    start = time.perf_counter()
+    assert len(_mask_bits((1 << 1_000_000) - 1)) == 1_000_000
+    assert _mask_bits(1 << 999_999) == (1_000_000,)
+    assert time.perf_counter() - start < 5.0
 
 
 # -- parallel partition invariants ------------------------------------------
