@@ -189,7 +189,8 @@ def corpus_instances(config: CorpusConfig) -> List[Tuple[str, Matroid]]:
 def analyze_instance(instance_id: str, m: Matroid, config: CorpusConfig) -> dict:
     """One-line-per-matroid summary of the full verification pipeline."""
     # the spectral report lists the family, and with it the counts that
-    # mason_report reads; asked first, the counts would cost a second walk
+    # mason_report reads; asked first, the counts would cost a second walk.
+    # U(r, n) lists nothing: its pair counts, counts and rank are closed forms
     spectral = spectral_nd_report(m)
     report = mason_report(m)
     max_eig = spectral.max_eigenvalue

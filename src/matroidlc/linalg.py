@@ -53,6 +53,16 @@ class SymmetricMatrix:
         self.dim = dim
         self._rows = rows
 
+    @classmethod
+    def _trusted(cls, rows: tuple) -> "SymmetricMatrix":
+        """A matrix the package built itself: ``rows`` is a square tuple
+        of tuples, symmetric, each entry an int when integral and a
+        reduced Fraction otherwise, so nothing is re-checked."""
+        q = object.__new__(cls)
+        q.dim = len(rows)
+        q._rows = rows
+        return q
+
     def rows(self) -> tuple:
         return self._rows
 

@@ -57,7 +57,9 @@ of elements, c_i = #{I in F : i in I} and p_ij = #{I in F : i, j in I}:
 
 Loops and contracted labels get zero rows.  spectral_nd_report builds
 the pair matrix f Hess f - grad f grad f^T from these counts when it is
-given a matroid and no point.
+given a matroid and no point.  The counts come from bit lanes over the
+family, or for U(r, n) from binomial sums without the family
+(Matroid._pair_counts).
 """
 
 from __future__ import annotations
@@ -103,12 +105,15 @@ def _require_nonneg_homogeneous(f: SparsePolynomial) -> None:
         raise NotHomogeneous("polynomial is not homogeneous")
 
 
-def _rank_one_update(q_rows: Sequence, s, v: Sequence, scale: int = 1) -> SymmetricMatrix:
-    """(s Q - v v^T) / scale for the rows of a symmetric Q."""
+def _rank_one_update(q_rows: Sequence, s: int, v: Sequence, scale: int = 1) -> SymmetricMatrix:
+    """(s Q - v v^T) / scale for the int rows of a symmetric Q, an int
+    vector v and ints s and scale > 0; symmetric by construction."""
     rows = [[s * q - x * y for q, y in zip(row, v)] for row, x in zip(q_rows, v)]
-    if scale != 1:
-        rows = [[Fraction(x, scale) for x in row] for row in rows]
-    return SymmetricMatrix(rows)
+    if scale == 1:
+        return SymmetricMatrix._trusted(tuple(map(tuple, rows)))
+    return SymmetricMatrix._trusted(
+        tuple(tuple(x // scale if x % scale == 0 else Fraction(x, scale) for x in row) for row in rows)
+    )
 
 
 def _pair_matrix(f: SparsePolynomial, a: tuple) -> tuple:
@@ -766,21 +771,10 @@ class SpectralReport:
 
 def _matroid_pair_matrix(m: Matroid) -> tuple:
     """f(1) and the pair matrix of g_M at the all-ones point, from the
-    counts c_i and p_ij of the family (see the module docstring).
-
-    The family is laid out as one integer with a lane of whole bytes per
-    mask; shifting it by i - 1 and keeping the lowest bit of every lane
-    gives the column of element i, so c_i and p_ij are bit counts.
-    """
-    family = m.independent_set_masks()
-    n, nv, size = m.n_elements, m.ambient + 1, len(family)
-    width = (nv + 7) // 8
-    packed = int.from_bytes(b"".join(mask.to_bytes(width, "little") for mask in family), "little")
-    lanes = int.from_bytes((b"\x01" + bytes(width - 1)) * size, "little")
-    labels = m.ground
-    cols = [(packed >> (i - 1)) & lanes for i in labels]
+    counts |F|, c_i and p_ij of the matroid (see the module docstring)."""
+    size, pairs = m._pair_counts()
+    n, nv, labels = m.n_elements, m.ambient + 1, m.ground
     # the diagonal holds c_i, so row i sums to c_i + sum over j != i of p_ij
-    pairs = [[(x & y).bit_count() for y in cols] for x in cols]
     s1 = sum(row[k] for k, row in enumerate(pairs))
     hess = [[0] * nv for _ in range(nv)]
     grad = [0] * nv

@@ -19,8 +19,10 @@ the quadratic d_y^(n-k-1) d_z^(k-1) f_M is log-concave, and its constant
     n! * [[c_(k-1)/C(n,k-1), c_k/C(n,k)], [c_k/C(n,k), c_(k+1)/C(n,k+1)]]
 
 must have nonpositive determinant, which cross-multiplies to exactly
-form (iii) at k.  gurvits_minor_checks computes those Hessians from the
-polynomial by actual differentiation; mason_report runs counts, the
+form (iii) at k.  gurvits_minor_checks differentiates the polynomial
+down to each quadratic a y^2 + b yz + c z^2 and reads its Hessian
+[[2a, b], [b, 2c]] off the coefficients, never from the factorial
+identity above; mason_report runs counts, the
 complete-log-concavity certificate, and the minor determinants side by
 side and refuses to return if they ever disagree.
 """
@@ -199,9 +201,11 @@ def gurvits_minor_checks(f: SparsePolynomial) -> list:
 
     Requires bivariate homogeneous f with nonnegative coefficients.
     One record per k in 1..n-1 with c_k != 0 (where the mixed second
-    derivative of the quadratic is alive); each Hessian is computed by
-    honest differentiation, not from the coefficient identity, so tests
-    can compare the two routes.
+    derivative of the quadratic is alive).  f is differentiated down to
+    the quadratic a y^2 + b yz + c z^2, whose constant Hessian
+    [[2a, b], [b, 2c]] is read off its coefficients, not from the
+    factorial identity, so tests can compare the two routes.  Entries
+    are ints when integral.
     """
     if f.nvars != 2:
         raise NotBivariate(f"expected 2 variables, got {f.nvars}")
@@ -213,12 +217,12 @@ def gurvits_minor_checks(f: SparsePolynomial) -> list:
         raise NotHomogeneous("minor checks require a homogeneous polynomial")
     n = f.total_degree()
     out = []
-    origin = (Fraction(0), Fraction(0))
     for k in range(1, n):
         if f.coefficient((n - k, k)) == 0:
             continue
         quad = f.derivative_multi((n - k - 1, k - 1))
-        matrix = quad.hessian(origin)
+        a, b, c = (quad.coefficient(e) for e in ((2, 0), (1, 1), (0, 2)))
+        matrix = SymmetricMatrix([[2 * a, b], [b, 2 * c]])
         det = matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]
         out.append(
             MinorCheck(

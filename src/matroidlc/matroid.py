@@ -18,11 +18,14 @@ of an independent I to that of I + e (see ``Matroid``; a linear step
 eliminates in ints over Q and GF(p) alike).  Independence tests, greedy
 rank, one-step extensions, contraction and the one DFS over independent
 sets are derived from that step.  The DFS counts the sets by size as it
-walks and lists them only when asked.  U(r, n) alone answers two queries
-in closed form: its rank is r, and its counts are C(n, k) for k <= r,
-with no walk; listing its sets still walks.  The family is cached as a
-frozenset of masks and the counts as a tuple, each behind the same size
-bound, so a query that needs only the counts never holds the family.
+walks and lists them only when asked.  The pair counts of the spectral
+diagnostic (how many sets hold each element and each pair) are bit counts
+over the family.  U(r, n) alone answers three queries in closed form,
+with no walk: its rank is r, its counts are C(n, k) for k <= r, and its
+pair counts are binomial sums; listing its sets still walks.  The family
+is cached as a frozenset of masks and the counts as a tuple, each behind
+the same size bound, so a query that needs only the counts never holds
+the family.
 An explicit matroid holds its family from the start, and checks the
 axioms on it when it is constructed, so every ``Matroid`` is a matroid.
 """
@@ -282,6 +285,22 @@ class Matroid:
         bound = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
         check_enumeration_bound(self.n_elements, bound)
 
+    def _pair_counts(self) -> tuple:
+        """(|F|, pairs) for the family F: pairs[a][b] counts the sets
+        holding the a-th and b-th ground elements, ascending, so its
+        diagonal holds c_i and the rest p_ij.
+
+        The family is laid out as one integer with a lane of whole bytes
+        per mask; shifting it by i - 1 and keeping the lowest bit of every
+        lane gives the column of element i, so each count is a bit count.
+        """
+        family = self.independent_set_masks()
+        width = (self.ambient + 8) // 8
+        packed = int.from_bytes(b"".join(mask.to_bytes(width, "little") for mask in family), "little")
+        lanes = int.from_bytes((b"\x01" + bytes(width - 1)) * len(family), "little")
+        cols = [(packed >> (i - 1)) & lanes for i in self.ground]
+        return len(family), [[(x & y).bit_count() for y in cols] for x in cols]
+
     def parallel_partition(self) -> ParallelPartition:
         """Loops and parallel classes from singleton and pair ranks."""
         labels, pattern = self._classes_after(0)
@@ -370,9 +389,10 @@ class ExplicitMatroid(Matroid):
 
 
 class UniformMatroid(Matroid):
-    """U(r, n): independence is just cardinality at most r.  The rank is
-    r and the counts are C(n, k) for k <= r, with no greedy pass and no
-    walk; listing still walks."""
+    """U(r, n): independence is just cardinality at most r.  Three queries
+    are closed forms, with no greedy pass and no walk: the rank is r, the
+    counts are C(n, k) for k <= r, and the pair counts are binomial sums.
+    Listing still walks."""
 
     kind = "uniform"
 
@@ -389,6 +409,20 @@ class UniformMatroid(Matroid):
             n = self.n_elements
             self._counts_cache = tuple(comb(n, k) if k <= self.r else 0 for k in range(n + 1))
         return super().count_independent_by_size(limit)
+
+    def _pair_counts(self) -> tuple:
+        """Without a held family: |F| = sum_{k<=r} C(n, k), and the sets
+        holding one element or two number c = sum_{1<=k<=r} C(n-1, k-1)
+        and p = sum_{2<=k<=r} C(n-2, k-2).  A sum is empty unless r
+        reaches its lower k, and r <= n, so no binomial sees n - 2 < 0."""
+        if self._family_cache is not None:
+            return super()._pair_counts()
+        self._check_bound(None)
+        n, r = self.n_elements, self.r
+        size = sum(comb(n, k) for k in range(r + 1))
+        c = sum(comb(n - 1, k - 1) for k in range(1, r + 1))
+        p = sum(comb(n - 2, k - 2) for k in range(2, r + 1))
+        return size, [[c if a == b else p for b in range(n)] for a in range(n)]
 
     def _start(self):
         return 0
@@ -463,7 +497,7 @@ class LinearMatroid(Matroid):
             raise ValueError(f"modulus {modulus} exceeds {MAX_PRIME_MODULUS}")
         if modulus != 0 and not _is_prime(modulus):
             raise NonPrimeModulus(f"modulus {modulus} is not prime")
-        cols = [tuple(Fraction(x) for x in col) for col in columns]
+        cols = [tuple(x if type(x) is int else Fraction(x) for x in col) for col in columns]
         height = len(cols[0]) if cols else 0
         if any(len(col) != height for col in cols):
             raise ValueError("columns must all have the same height")

@@ -59,6 +59,17 @@ class SparsePolynomial:
         self.nvars = nvars
         self._terms = clean
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "SparsePolynomial":
+        """A polynomial the package built itself: ``terms`` maps exponent
+        tuples of length ``nvars`` with nonnegative int entries to nonzero
+        coefficients, each an int when integral and a reduced Fraction
+        otherwise, so nothing is re-checked."""
+        f = object.__new__(cls)
+        f.nvars = nvars
+        f._terms = terms
+        return f
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -204,8 +215,11 @@ class SparsePolynomial:
                 lowered = list(exp)
                 for i, a in active:
                     lowered[i] -= a
+                # a Fraction times a falling factorial can be integral
+                if type(factor) is not int and factor.denominator == 1:
+                    factor = factor.numerator
                 out[tuple(lowered)] = factor
-        return SparsePolynomial(self.nvars, out)
+        return SparsePolynomial._trusted(self.nvars, out)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -362,7 +376,7 @@ def independence_polynomial(m: Matroid) -> SparsePolynomial:
     terms = {}
     for mask in m.independent_set_masks():
         terms[(degree - mask.bit_count(),) + _mask_exponent(mask, m.ambient)] = 1
-    return SparsePolynomial(nv, terms)
+    return SparsePolynomial._trusted(nv, terms)
 
 
 def bases_polynomial(m: Matroid) -> SparsePolynomial:
@@ -377,14 +391,14 @@ def bases_polynomial(m: Matroid) -> SparsePolynomial:
     for mask in m.independent_set_masks():
         if mask.bit_count() == r:
             terms[_mask_exponent(mask, nv)] = 1
-    return SparsePolynomial(nv, terms)
+    return SparsePolynomial._trusted(nv, terms)
 
 
 def bivariate_restriction(m: Matroid) -> SparsePolynomial:
     """f_M(y, z) = sum_k I_k y^(n-k) z^k, the image of g_M under z_i -> z."""
     counts = m.count_independent_by_size()
     n = m.n_elements
-    return SparsePolynomial(2, {(n - k, k): c for k, c in enumerate(counts) if c})
+    return SparsePolynomial._trusted(2, {(n - k, k): c for k, c in enumerate(counts) if c})
 
 
 # -- JSON ----------------------------------------------------------------

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import _canonical_alpha_key
-from matroidlc import logconcavity
+from matroidlc import corpus, logconcavity
 from matroidlc import (
     AllLoops,
     CorpusConfig,
     DegreeTooLow,
+    EnumerationLimitExceeded,
     Matroid,
     NegativeCoefficient,
     NotHomogeneous,
@@ -27,6 +28,7 @@ from matroidlc import (
     certify_clc_matroid,
     certify_clc_quadratic_criterion,
     corpus_instances,
+    from_independence_family,
     graphic,
     independence_polynomial,
     is_negative_semidefinite,
@@ -42,6 +44,7 @@ from matroidlc import (
 from matroidlc.cli import MAX_ENUMERATION_BOUND
 from matroidlc.corpus import analyze_instance
 from matroidlc.logconcavity import log_concave_at
+from matroidlc.matroid import UniformMatroid
 
 
 def P(nvars, terms):
@@ -771,6 +774,116 @@ def test_corpus_analysis_builds_no_generating_polynomial(monkeypatch):
     m = instances[-1][1]
     spectral_nd_report(m, (1,) * (m.ambient + 1))
     assert len(calls) == 1
+
+
+def test_uniform_pair_counts_match_the_family_route():
+    # the binomial sums of U(r, n) against the bit lanes over its family,
+    # listed on the same object and held by an explicit copy
+    for n in range(13):
+        for r in range(n + 1):
+            closed = uniform(r, n)
+            counts, report = closed._pair_counts(), spectral_nd_report(closed)
+            assert closed._family_cache is None, (r, n)
+            listed = uniform(r, n)
+            listed.independent_set_masks()
+            explicit = from_independence_family(n, listed.independent_sets())
+            for m in (listed, explicit):
+                assert m._pair_counts() == counts, (r, n, m.kind)
+                _assert_same_spectral_report(report, spectral_nd_report(m))
+
+
+def test_uniform_pair_counts_keep_the_enumeration_bound():
+    with pytest.raises(EnumerationLimitExceeded):
+        spectral_nd_report(uniform(2, 21))
+
+
+def test_sweep_steps_through_no_uniform_instance(monkeypatch):
+    # a step of U(r, n), or of a contraction of it, during the analysis
+    # of an instance is logged under the instance id
+    current, stepped = [], set()
+    analyze, extend = corpus.analyze_instance, UniformMatroid._extend
+
+    def analyzed(iid, m, config):
+        current.append(iid)
+        try:
+            return analyze(iid, m, config)
+        finally:
+            current.pop()
+
+    def step(self, state, e):
+        stepped.update(current)
+        return extend(self, state, e)
+
+    monkeypatch.setattr(corpus, "analyze_instance", analyzed)
+    monkeypatch.setattr(UniformMatroid, "_extend", step)
+    config = CorpusConfig(linear_count=20, explicit_count=40)
+    sweep = corpus.run_sweep(config)
+    ids = [row["id"] for row in sweep["instances"]]
+    assert sum(iid.startswith("uniform-") for iid in ids) == 91
+    assert not [iid for iid in stepped if iid.startswith("uniform-")]
+    # the log does see the steps of a contraction of U(r, n), which lists
+    analyzed("uniform-contracted", uniform(3, 5).contract([1]), config)
+    assert "uniform-contracted" in stepped
+
+
+# -- trusted constructors ------------------------------------------------------------
+
+
+def _typed_matrix(q):
+    return type(q._rows), q.dim, [(type(row), [(x, type(x)) for x in row]) for row in q._rows]
+
+
+def _typed_polynomial(f):
+    items = [(type(e), e, tuple(map(type, e)), c, type(c)) for e, c in f._terms.items()]
+    return type(f._terms), f.nvars, sorted(items, key=lambda t: t[1])
+
+
+def test_trusted_constructors_match_validated_ones(monkeypatch):
+    # every matrix and polynomial the package builds without re-checks, on
+    # the corpus and on criterion 4's random polynomials, is built again
+    # by the validated constructor and compared type by type
+    built = {"matrix": 0, "polynomial": 0}
+    trusted_matrix = SymmetricMatrix._trusted.__func__
+    trusted_polynomial = SparsePolynomial._trusted.__func__
+
+    def matrix(cls, rows):
+        q = trusted_matrix(cls, rows)
+        assert _typed_matrix(q) == _typed_matrix(SymmetricMatrix(rows))
+        built["matrix"] += 1
+        return q
+
+    def polynomial(cls, nvars, terms):
+        f = trusted_polynomial(cls, nvars, terms)
+        assert _typed_polynomial(f) == _typed_polynomial(SparsePolynomial(nvars, terms))
+        built["polynomial"] += 1
+        return f
+
+    monkeypatch.setattr(SymmetricMatrix, "_trusted", classmethod(matrix))
+    monkeypatch.setattr(SparsePolynomial, "_trusted", classmethod(polynomial))
+    config = CorpusConfig()
+    instances = corpus_instances(config)
+    for iid, m in instances:
+        analyze_instance(iid, m, config)
+        independence_polynomial(m)
+        bases_polynomial(m)
+    # at least a pair matrix, f_M, g_M and p_M for each instance
+    corpus_built = dict(built)
+    assert corpus_built["matrix"] >= len(instances)
+    assert corpus_built["polynomial"] >= 3 * len(instances)
+    rng = random.Random("acceptance-conditions")
+    for i in range(1000):
+        nvars = rng.randint(2, 5)
+        degree = rng.randint(2, 5)
+        f = helpers.random_homogeneous_polynomial(rng, nvars, degree)
+        a = helpers.random_positive_point(rng, nvars)
+        log_concavity_condition_report(f, a, samples=3, seed=i)
+        certify_clc_quadratic_criterion(f)
+        spectral_nd_report(f, a)
+        for j in range(nvars):
+            f.derivative_multi([degree - 2 if k == j else 0 for k in range(nvars)])
+    # at least the spectral pair matrix and two derivatives of each
+    assert built["matrix"] >= corpus_built["matrix"] + 1000
+    assert built["polynomial"] >= corpus_built["polynomial"] + 2000
 
 
 # -- functional sampling -----------------------------------------------------------

@@ -16,6 +16,7 @@ from matroidlc import (
     NotBivariate,
     NotHomogeneous,
     SparsePolynomial,
+    SymmetricMatrix,
     bivariate_restriction,
     check_ultra_log_concave,
     gurvits_minor_checks,
@@ -162,6 +163,42 @@ def test_minor_entries_match_closed_form():
                 ],
             ]
             assert [list(row) for row in check.matrix.rows()] == expected
+
+
+def _typed_rows(matrix):
+    return [[(x, type(x)) for x in row] for row in matrix.rows()]
+
+
+def test_minor_matrices_match_the_hessian_route():
+    # the Hessian read off each quadratic's coefficients against the one
+    # that evaluates it at the origin
+    rng = random.Random(23)
+    polys = [
+        # quadratics whose 2c is integral: a 1/2 coefficient gives an int entry
+        SparsePolynomial(2, {(2, 0): Fraction(1, 2), (1, 1): 1, (0, 2): Fraction(3, 2)}),
+        SparsePolynomial(2, {(2, 0): Fraction(1, 3), (1, 1): Fraction(1, 2)}),
+        SparsePolynomial(2, {(3, 0): Fraction(1, 2), (2, 1): Fraction(1, 2), (0, 3): Fraction(1, 6)}),
+    ]
+    for _ in range(80):
+        n = rng.randint(2, 7)
+        coeffs = [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 4, 6))) for _ in range(n + 1)]
+        coeffs[rng.randrange(n + 1)] = Fraction(1, 2)
+        polys.append(SparsePolynomial(2, {(n - m, m): c for m, c in enumerate(coeffs) if c}))
+    seen = set()
+    for f in polys:
+        n = f.total_degree()
+        for check in gurvits_minor_checks(f):
+            hess = f.derivative_multi((n - check.k - 1, check.k - 1)).hessian((0, 0))
+            assert _typed_rows(check.matrix) == _typed_rows(hess)
+            det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
+            assert (check.determinant, type(check.determinant)) == (det, type(det))
+            for x in (x for row in check.matrix.rows() for x in row):
+                assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+                seen.add(type(x))
+    assert seen == {int, Fraction}
+    assert _typed_rows(gurvits_minor_checks(polys[0])[0].matrix) == _typed_rows(
+        SymmetricMatrix([[1, 1], [1, 3]])
+    )
 
 
 def test_minor_sign_equals_strongest_form_verdict():

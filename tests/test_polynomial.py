@@ -174,6 +174,14 @@ def test_derivative_multi_falling_factorials():
     assert f.derivative_multi((3,)).terms == {(1,): 24}
 
 
+def test_derivative_multi_stores_integral_products_as_int():
+    # a Fraction times a falling factorial can be integral
+    f = P(2, {(3, 0): Fraction(1, 6), (2, 1): Fraction(1, 2), (2, 2): Fraction(1, 4)})
+    d = f.derivative_multi((2, 0))
+    assert d.terms == {(1, 0): 1, (0, 1): 1, (0, 2): Fraction(1, 2)}
+    assert [type(c) for _, c in d.canonical_items()] == [int, int, Fraction]
+
+
 def test_derivatives_commute():
     rng = random.Random(5)
     for _ in range(20):
