@@ -10,7 +10,6 @@ spectral diagnostics.
 
 from .corpus import CorpusConfig, corpus_instances, run_sweep
 from .errors import (
-    AllLoops,
     AxiomViolation,
     ConsistencyError,
     DegreeTooLow,
@@ -36,7 +35,6 @@ from .logconcavity import (
     certify_clc_quadratic_criterion,
     log_concavity_condition_report,
     log_concavity_test_matrix,
-    matroid_quadratic_matrix,
     sample_functional_log_concavity,
     spectral_nd_report,
     verify_certificate_failure,
@@ -68,7 +66,6 @@ __all__ = [
     "CorpusConfig",
     "corpus_instances",
     "run_sweep",
-    "AllLoops",
     "AxiomViolation",
     "ConsistencyError",
     "DegreeTooLow",
@@ -93,7 +90,6 @@ __all__ = [
     "certify_clc_quadratic_criterion",
     "log_concavity_condition_report",
     "log_concavity_test_matrix",
-    "matroid_quadratic_matrix",
     "sample_functional_log_concavity",
     "spectral_nd_report",
     "verify_certificate_failure",

@@ -75,10 +75,6 @@ class DegreeTooLow(MatroidLCError):
     """Operation requires total degree at least two."""
 
 
-class AllLoops(MatroidLCError):
-    """Matroid has no non-loop element where one is required."""
-
-
 class LengthMismatch(MatroidLCError):
     """A coefficient sequence has the wrong length."""
 

@@ -2,7 +2,9 @@
 
 An integral entry is stored as an int and any other as a reduced
 Fraction, so equal values are stored alike and integer matrices never
-pay for Fraction arithmetic.
+pay for Fraction arithmetic.  Only the caller's input is validated (the
+constructor checks entries, shape and symmetry); every matrix the package
+builds itself, ``scaled`` and ``restricted`` too, is ``_trusted``.
 
 The one nontrivial algorithm here is the negative semidefiniteness test.
 It clears the denominators of -Q and runs a fraction-free (Bareiss)
@@ -32,6 +34,13 @@ def _exact(x):
     if isinstance(x, int):
         return int(x)
     raise TypeError(f"exact arithmetic requires int or Fraction values, got {type(x).__name__}")
+
+
+def _divided(rows, s: int) -> tuple:
+    """Int rows over an int s > 0, as tuples of entries as stored."""
+    if s == 1:
+        return tuple(map(tuple, rows))
+    return tuple(tuple(x // s if x % s == 0 else Fraction(x, s) for x in row) for row in rows)
 
 
 class SymmetricMatrix:
@@ -81,23 +90,22 @@ class SymmetricMatrix:
         return f"SymmetricMatrix([{body}])"
 
     def scaled(self, c) -> "SymmetricMatrix":
+        # c x can be an integral Fraction, so each entry is stored afresh
         c = _exact(c)
-        return SymmetricMatrix([[c * x for x in row] for row in self._rows])
-
-    def matvec(self, v: Sequence) -> tuple:
-        if len(v) != self.dim:
-            raise DimensionMismatch(f"expected vector of length {self.dim}, got {len(v)}")
-        v = [_exact(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self._rows)
+        rows = self._rows
+        return SymmetricMatrix._trusted(tuple(tuple(_exact(c * x) for x in row) for row in rows))
 
     def quad(self, v: Sequence):
         """Quadratic form v^T Q v."""
-        w = self.matvec(v)
-        return sum(_exact(a) * b for a, b in zip(v, w))
+        if len(v) != self.dim:
+            raise DimensionMismatch(f"expected vector of length {self.dim}, got {len(v)}")
+        v = [_exact(x) for x in v]
+        return sum(a * sum(b * c for b, c in zip(row, v)) for a, row in zip(v, self._rows))
 
     def restricted(self, indices: Sequence[int]) -> "SymmetricMatrix":
         """Principal submatrix on the given index list, in the given order."""
-        return SymmetricMatrix([[self._rows[i][j] for j in indices] for i in indices])
+        rows = self._rows
+        return SymmetricMatrix._trusted(tuple(tuple(rows[i][j] for j in indices) for i in indices))
 
     def to_float_array(self, scale=1) -> "numpy.ndarray":
         """The entries divided by ``scale``, each rounded once from its

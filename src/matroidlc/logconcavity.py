@@ -58,7 +58,7 @@ of elements, c_i = #{I in F : i in I} and p_ij = #{I in F : i, j in I}:
 Loops and contracted labels get zero rows.  spectral_nd_report builds
 the pair matrix f Hess f - grad f grad f^T from these counts when it is
 given a matroid and no point.  The counts come from bit lanes over the
-family, or for U(r, n) from binomial sums without the family
+family, or for U(r, n) from binomial sums, listed or not
 (Matroid._pair_counts).
 """
 
@@ -73,7 +73,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (
-    AllLoops,
     ConsistencyError,
     DegreeTooLow,
     DimensionMismatch,
@@ -81,7 +80,7 @@ from .errors import (
     NotHomogeneous,
     ZeroAtPoint,
 )
-from .linalg import SymmetricMatrix, _cleared, float_eigenvalues, is_negative_semidefinite
+from .linalg import SymmetricMatrix, _cleared, _divided, float_eigenvalues, is_negative_semidefinite
 from .matroid import Matroid, _extensions, _find
 from .polynomial import SparsePolynomial, independence_polynomial
 
@@ -109,11 +108,7 @@ def _rank_one_update(q_rows: Sequence, s: int, v: Sequence, scale: int = 1) -> S
     """(s Q - v v^T) / scale for the int rows of a symmetric Q, an int
     vector v and ints s and scale > 0; symmetric by construction."""
     rows = [[s * q - x * y for q, y in zip(row, v)] for row, x in zip(q_rows, v)]
-    if scale == 1:
-        return SymmetricMatrix._trusted(tuple(map(tuple, rows)))
-    return SymmetricMatrix._trusted(
-        tuple(tuple(x // scale if x % scale == 0 else Fraction(x, scale) for x in row) for row in rows)
-    )
+    return SymmetricMatrix._trusted(_divided(rows, scale))
 
 
 def _pair_matrix(f: SparsePolynomial, a: tuple) -> tuple:
@@ -270,7 +265,7 @@ def _hyperplane_nsd(hess: list, b: Sequence) -> Optional[bool]:
         [wp * (wp * hess[i][j] - w[j] * hp[i] - w[i] * hp[j]) + w[i] * w[j] * hp[p] for j in rest]
         for i in rest
     ]
-    return bool(is_negative_semidefinite(SymmetricMatrix(restricted)))
+    return bool(is_negative_semidefinite(SymmetricMatrix._trusted(tuple(map(tuple, restricted)))))
 
 
 def log_concavity_condition_report(
@@ -554,24 +549,9 @@ def _element_matrix(nprime: int, pattern) -> SymmetricMatrix:
     Entries are 1 between distinct classes and 1 - n' inside a class and
     on the diagonal.
     """
-    inside, across = 1 - nprime, 1
-    return SymmetricMatrix([[inside if a == b else across for b in pattern] for a in pattern])
-
-
-def matroid_quadratic_matrix(m: Matroid) -> SymmetricMatrix:
-    """The quadratic test matrix n B - (n-1) 11^T on non-loops.
-
-    Rows follow non-loop labels in ascending order, n counts all
-    elements including loops.  Entries: 1 between distinct parallel
-    classes, 1 - n inside a class and on the diagonal.
-    """
-    n = m.n_elements
-    if n < 2:
-        raise DegreeTooLow(f"quadratic matrix needs at least 2 elements, got {n}")
-    nonloops, pattern = m._classes_after(0)
-    if not nonloops:
-        raise AllLoops("matroid has no non-loop element")
-    return _element_matrix(n, pattern)
+    # members of one class share one row
+    rows = {a: tuple(1 - nprime if a == b else 1 for b in pattern) for a in set(pattern)}
+    return SymmetricMatrix._trusted(tuple(rows[a] for a in pattern))
 
 
 def certify_clc_matroid(m: Matroid) -> CLCCertificate:

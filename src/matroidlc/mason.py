@@ -42,7 +42,7 @@ from .errors import (
     NotBivariate,
     NotHomogeneous,
 )
-from .linalg import SymmetricMatrix
+from .linalg import SymmetricMatrix, _exact
 from .logconcavity import CLCCertificate, certify_clc_matroid
 from .matroid import Matroid
 from .polynomial import SparsePolynomial, bivariate_restriction
@@ -222,7 +222,8 @@ def gurvits_minor_checks(f: SparsePolynomial) -> list:
             continue
         quad = f.derivative_multi((n - k - 1, k - 1))
         a, b, c = (quad.coefficient(e) for e in ((2, 0), (1, 1), (0, 2)))
-        matrix = SymmetricMatrix([[2 * a, b], [b, 2 * c]])
+        # b is stored exact; 2a and 2c can be integral Fractions
+        matrix = SymmetricMatrix._trusted(((_exact(2 * a), b), (b, _exact(2 * c))))
         det = matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]
         out.append(
             MinorCheck(

@@ -16,23 +16,24 @@ Subsets are handled internally as bitmasks (bit i-1 holds element i).
 Each kind states its independence rule once, as one step from the state
 of an independent I to that of I + e (see ``Matroid``; a linear step
 eliminates in ints over Q and GF(p) alike).  Independence tests, greedy
-rank, one-step extensions, contraction and the one DFS over independent
-sets are derived from that step.  The DFS counts the sets by size as it
-walks and lists them only when asked.  The pair counts of the spectral
-diagnostic (how many sets hold each element and each pair) are bit counts
-over the family.  U(r, n) alone answers three queries in closed form,
-with no walk: its rank is r, its counts are C(n, k) for k <= r, and its
-pair counts are binomial sums; listing its sets still walks.  The family
-is cached as a frozenset of masks and the counts as a tuple, each behind
-the same size bound, so a query that needs only the counts never holds
-the family.
+rank, contraction and the one DFS over independent sets are derived from
+that step.  The DFS counts the sets by size as it walks and lists them
+only when asked.  The loops and parallel classes of each contraction
+are read off the listed family, by its one-step extensions
+(``_extensions``, ``Matroid._classes_after``), and the pair counts of
+the spectral diagnostic (how many sets hold each element and each pair)
+are bit counts over it.  U(r, n) alone answers three queries in closed
+form, with no walk, listed or not: its rank is r, its counts are C(n, k)
+for k <= r, and its pair counts are binomial sums; listing its sets
+still walks.  The family is cached as a frozenset of masks and the
+counts as a tuple, each behind the same size bound, so a query that
+needs only the counts never holds the family.
 An explicit matroid holds its family from the start, and checks the
 axioms on it when it is constructed, so every ``Matroid`` is a matroid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -87,24 +88,6 @@ def _find(parent: list, x: int) -> int:
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
-
-
-@dataclass(frozen=True)
-class ParallelPartition:
-    """Loops plus the partition of non-loops into parallel classes.
-
-    Two non-loops are parallel when their pair has rank 1.  Classes are
-    ordered by their smallest member.
-    """
-
-    loops: frozenset
-    classes: tuple
-
-    def class_of(self, element: int) -> frozenset:
-        for cls in self.classes:
-            if element in cls:
-                return cls
-        raise KeyError(element)
 
 
 class Matroid:
@@ -301,44 +284,19 @@ class Matroid:
         cols = [(packed >> (i - 1)) & lanes for i in self.ground]
         return len(family), [[(x & y).bit_count() for y in cols] for x in cols]
 
-    def parallel_partition(self) -> ParallelPartition:
-        """Loops and parallel classes from singleton and pair ranks."""
-        labels, pattern = self._classes_after(0)
-        classes = [[] for _ in range(max(pattern, default=-1) + 1)]
-        for e, c in zip(labels, pattern):
-            classes[c].append(e)
-        loops = frozenset(self.ground).difference(labels)
-        return ParallelPartition(loops, tuple(frozenset(cls) for cls in classes))
-
-    def _extensions_by_test(self, amask: int) -> int:
-        """Mask of the x outside A with A + x independent, by independence
-        tests; the one-step extensions of a single independent A."""
-        indep = self._is_independent_mask
-        out = 0
-        rest = self._ground_mask & ~amask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if indep(amask | bit):
-                out |= bit
-        return out
-
-    def _classes_after(self, jmask: int, ext=None) -> tuple:
+    def _classes_after(self, jmask: int, ext) -> tuple:
         """Non-loops of M/J ascending, and the parallel class index of each,
         for an independent mask J.
 
         ``ext(A)`` is the mask of the x with A + x independent, for
-        independent A: a lookup in the map of ``_extensions`` when the
-        family is at hand, independence tests otherwise.  The non-loops
-        of M/J are ext(J), and the earlier non-loops r parallel to a
-        non-loop e (J + e + r dependent) are ext(J) - ext(J + e) below e.
-        e opens a new class when there are none.  Otherwise, parallelism
-        being transitive in a matroid, they are the earlier members of
-        one class, and e joins the class of the smallest.  Classes are
-        numbered by their smallest member.
+        independent A: a lookup in the map that ``_extensions`` builds
+        from the listed family.  The non-loops of M/J are ext(J), and the
+        earlier non-loops r parallel to a non-loop e (J + e + r dependent)
+        are ext(J) - ext(J + e) below e.  e opens a new class when there
+        are none.  Otherwise, parallelism being transitive in a matroid,
+        they are the earlier members of one class, and e joins the class
+        of the smallest.  Classes are numbered by their smallest member.
         """
-        if ext is None:
-            ext = self._extensions_by_test
         free = ext(jmask)
         labels = []
         class_of = {}
@@ -404,20 +362,21 @@ class UniformMatroid(Matroid):
         self._rank_cache = r
 
     def count_independent_by_size(self, limit: Optional[int] = None) -> tuple:
-        if self._counts_cache is None and self._family_cache is None:
+        # listing fills the counts too, so a miss means no family is held
+        if self._counts_cache is None:
             self._check_bound(limit)
             n = self.n_elements
             self._counts_cache = tuple(comb(n, k) if k <= self.r else 0 for k in range(n + 1))
         return super().count_independent_by_size(limit)
 
     def _pair_counts(self) -> tuple:
-        """Without a held family: |F| = sum_{k<=r} C(n, k), and the sets
-        holding one element or two number c = sum_{1<=k<=r} C(n-1, k-1)
-        and p = sum_{2<=k<=r} C(n-2, k-2).  A sum is empty unless r
-        reaches its lower k, and r <= n, so no binomial sees n - 2 < 0."""
-        if self._family_cache is not None:
-            return super()._pair_counts()
-        self._check_bound(None)
+        """|F| = sum_{k<=r} C(n, k), and the sets holding one element or
+        two number c = sum_{1<=k<=r} C(n-1, k-1) and p = sum_{2<=k<=r}
+        C(n-2, k-2).  A sum is empty unless r reaches its lower k, and
+        r <= n, so no binomial sees n - 2 < 0.  A listed family has
+        passed the bound already."""
+        if self._family_cache is None:
+            self._check_bound(None)
         n, r = self.n_elements, self.r
         size = sum(comb(n, k) for k in range(r + 1))
         c = sum(comb(n - 1, k - 1) for k in range(1, r + 1))

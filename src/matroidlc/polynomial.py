@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
-from .linalg import SymmetricMatrix, _cleared, _exact
+from .linalg import SymmetricMatrix, _cleared, _divided, _exact
 from .matroid import Matroid, parse_rational
 
 
@@ -320,9 +320,8 @@ class SparsePolynomial:
     def hessian(self, point: Sequence) -> SymmetricMatrix:
         """Exact Hessian matrix; the point must be rational."""
         (*_, hess), (*_, scale) = self._values_at(point, 2)
-        if scale != 1:
-            hess = [[Fraction(x, scale) for x in row] for row in hess]
-        return SymmetricMatrix(hess)
+        # the point is the caller's, so the entries are checked
+        return SymmetricMatrix(_divided(hess, scale))
 
 
 def format_polynomial(f: SparsePolynomial, names: Optional[Sequence[str]] = None) -> str:

@@ -5,7 +5,9 @@ independence is re-derived from first principles (cycle search, Gaussian
 elimination, size bounds), axioms are checked over all pairs without the
 size-adjacent reduction, and ranks come from exhaustive enumeration.  The
 reference certifier walks the derivative polynomials themselves, where
-the library reads every check off the coefficients.
+the library reads every check off the coefficients.  The class matrix of
+each matroid quadratic is read off the family by membership tests alone,
+where the library runs its class pass over one-step extension masks.
 """
 
 import random
@@ -409,6 +411,45 @@ def reference_certificate(f: SparsePolynomial) -> CLCCertificate:
         checks=tuple(checks),
         failure=failure,
     )
+
+
+# -- matroid quadratics from the family alone -------------------------------------
+
+
+def family_quadratic(family, ground, jmask):
+    """Expected (witness_labels, matrix rows) of the quadratic check of
+    M/J, read off the mask family F of M alone; None when M/J has loops
+    only.
+
+    e is a non-loop of M/J exactly when J + e is in F, and non-loops
+    a != b are parallel exactly when J + a + b is not.  The matrix
+    n'B - (n'-1)11^T has 1 - n' inside a class and on the diagonal, and
+    1 across classes, with n' the number of elements of M/J.
+    """
+    nprime = len(ground) - jmask.bit_count()
+    free = [(e, jmask | 1 << (e - 1)) for e in ground if not jmask >> (e - 1) & 1]
+    free = [(e, s) for e, s in free if s in family]
+    if not free:
+        return None
+    rows = tuple(
+        tuple(1 - nprime if a == b or sa | sb not in family else 1 for b, sb in free)
+        for a, sa in free
+    )
+    return tuple(e for e, _ in free), rows
+
+
+def quadratic_check_agrees(check, family, ground):
+    """Whether a quadratic check of certify_clc_matroid says what the
+    family F says: it passes, its y-exponent is n' - 2, and its labels
+    and matrix are those of family_quadratic (none when M/J is all
+    loops)."""
+    jmask = sum(1 << i for i, x in enumerate(check.alpha[1:]) if x)
+    if not check.result or check.alpha[0] != len(ground) - jmask.bit_count() - 2:
+        return False
+    expected = family_quadratic(family, ground, jmask)
+    if expected is None:
+        return check.matrix is None and check.witness_labels is None
+    return check.witness_labels == expected[0] and check.matrix.rows() == expected[1]
 
 
 # -- JSON writers ----------------------------------------------------------------

@@ -43,12 +43,14 @@ def test_indexing_and_rows():
     assert q.restricted((1,)).rows() == ((3,),)
 
 
-def test_matvec_and_quad():
+def test_quad():
     q = S([[2, 1], [1, 0]])
-    assert q.matvec((1, 1)) == (3, 1)
     assert q.quad((1, 1)) == 4
+    assert q.quad((1, 0)) == 2 and q.quad((0, 1)) == 0
     with pytest.raises(DimensionMismatch):
-        q.matvec((1,))
+        q.quad((1,))
+    with pytest.raises(TypeError):
+        q.quad((1.0, 1))
 
 
 def test_scaled():
@@ -293,4 +295,5 @@ def test_integral_entries_are_stored_as_int():
     assert hash(q) == hash(SymmetricMatrix(as_fractions))
     assert q.to_json_rows() == [["2", "1/2"], ["1/2", "0"]]
     assert q.quad((2, 2)) == 12
-    assert q.matvec((Fraction(1, 2), 1)) == (Fraction(3, 2), Fraction(1, 4))
+    # Q (1/2, 1) = (3/2, 1/4), so the form is 1/2 * 3/2 + 1 * 1/4
+    assert q.quad((Fraction(1, 2), 1)) == 1

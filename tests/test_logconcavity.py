@@ -14,7 +14,6 @@ import helpers
 from helpers import _canonical_alpha_key
 from matroidlc import corpus, logconcavity
 from matroidlc import (
-    AllLoops,
     CorpusConfig,
     DegreeTooLow,
     EnumerationLimitExceeded,
@@ -35,7 +34,6 @@ from matroidlc import (
     log_concavity_condition_report,
     log_concavity_test_matrix,
     mason_report,
-    matroid_quadratic_matrix,
     sample_functional_log_concavity,
     spectral_nd_report,
     uniform,
@@ -44,7 +42,7 @@ from matroidlc import (
 from matroidlc.cli import MAX_ENUMERATION_BOUND
 from matroidlc.corpus import analyze_instance
 from matroidlc.logconcavity import log_concave_at
-from matroidlc.matroid import UniformMatroid
+from matroidlc.matroid import UniformMatroid, _extensions
 
 
 def P(nvars, terms):
@@ -391,32 +389,35 @@ def test_directional_derivative_sums_stay_log_concave():
 # -- matroid class matrices ----------------------------------------------------
 
 
+def _empty_contraction_check(m):
+    """The certificate's quadratic check at J = {} (alpha = (n - 2, 0, ...))."""
+    return next(c for c in certify_clc_matroid(m).quadratic_checks() if not any(c.alpha[1:]))
+
+
 def test_class_matrix_parallel_pair_plus_free_element():
-    matrix = matroid_quadratic_matrix(helpers.parallel_pair_plus_free())
-    assert rows_int(matrix) == [[-2, -2, 1], [-2, -2, 1], [1, 1, -2]]
+    check = _empty_contraction_check(helpers.parallel_pair_plus_free())
+    assert check.witness_labels == (1, 2, 3)
+    assert rows_int(check.matrix) == [[-2, -2, 1], [-2, -2, 1], [1, 1, -2]]
 
 
 def test_class_matrix_uniform_examples():
-    assert rows_int(matroid_quadratic_matrix(uniform(1, 2))) == [[-1, -1], [-1, -1]]
-    assert rows_int(matroid_quadratic_matrix(uniform(2, 2))) == [[-1, 1], [1, -1]]
+    assert rows_int(_empty_contraction_check(uniform(1, 2)).matrix) == [[-1, -1], [-1, -1]]
+    assert rows_int(_empty_contraction_check(uniform(2, 2)).matrix) == [[-1, 1], [1, -1]]
 
 
-def test_class_matrix_rejects_degenerate_inputs():
-    with pytest.raises(AllLoops):
-        matroid_quadratic_matrix(uniform(0, 2))
-    with pytest.raises(DegreeTooLow):
-        matroid_quadratic_matrix(helpers.single_loop())
+def test_class_matrix_of_degenerate_inputs():
+    # M/J of loops only passes with no matrix; below 2 elements there is
+    # no quadratic at all
+    check = _empty_contraction_check(uniform(0, 2))
+    assert check.result and check.matrix is None and check.witness_labels is None
+    assert certify_clc_matroid(helpers.single_loop()).checks == ()
 
 
 def test_class_matrices_are_negative_semidefinite_on_zoo():
     for m in helpers.zoo():
-        if m.n_elements < 2:
-            continue
-        try:
-            matrix = matroid_quadratic_matrix(m)
-        except AllLoops:
-            continue
-        assert is_negative_semidefinite(matrix).is_nsd
+        for check in certify_clc_matroid(m).quadratic_checks():
+            if check.matrix is not None:
+                assert is_negative_semidefinite(check.matrix).is_nsd, check.alpha
 
 
 def test_class_core_lemma_at_every_reachable_size():
@@ -438,18 +439,17 @@ def test_class_core_lemma_at_every_reachable_size():
 def test_class_matrix_factors_through_class_core(m):
     # n'B - (n'-1)11^T = P (J_c - n'I_c) P^T with P the element-by-class
     # incidence matrix, so the c x c core decides the verdict
-    for j in m.independent_sets():
-        contraction = m.contract(j)
-        nprime = contraction.n_elements
-        part = contraction.parallel_partition()
-        if nprime < 2 or not part.classes:
+    ext = _extensions(m.independent_set_masks()).__getitem__
+    for check in certify_clc_matroid(m).quadratic_checks():
+        jmask = sum(1 << i for i, x in enumerate(check.alpha[1:]) if x)
+        nprime = m.n_elements - jmask.bit_count()
+        nonloops, pattern = m._classes_after(jmask, ext)
+        if not nonloops:
             continue
-        classes = part.classes
-        c = len(classes)
+        c = max(pattern) + 1
         assert c <= nprime
         core = [[1 - nprime if a == b else 1 for b in range(c)] for a in range(c)]
-        nonloops = sorted(e for cls in classes for e in cls)
-        incidence = [[int(e in cls) for cls in classes] for e in nonloops]
+        incidence = [[int(k == cls) for k in range(c)] for cls in pattern]
         expected = [
             [
                 sum(pa * core[a][b] * pb for a, pa in enumerate(pe) for b, pb in enumerate(pf))
@@ -457,29 +457,15 @@ def test_class_matrix_factors_through_class_core(m):
             ]
             for pe in incidence
         ]
-        matrix = matroid_quadratic_matrix(contraction)
-        assert rows_int(matrix) == expected
+        assert check.witness_labels == nonloops
+        assert rows_int(check.matrix) == expected
         assert (
-            is_negative_semidefinite(matrix).is_nsd
+            is_negative_semidefinite(check.matrix).is_nsd
             == is_negative_semidefinite(SymmetricMatrix(core)).is_nsd
         )
 
 
 # -- matroid certifier ----------------------------------------------------------
-
-
-def _brute_quadratic(m, j):
-    """Expected (witness_labels, matrix rows) of the quadratic check at J,
-    from pair independence alone; None when M/J has loops only."""
-    nprime = m.n_elements - len(j)
-    nonloops = [e for e in m.ground if e not in j and m.is_independent(j | {e})]
-    if not nonloops:
-        return None
-    rows = [
-        [1 - nprime if a == b or not m.is_independent(j | {a, b}) else 1 for b in nonloops]
-        for a in nonloops
-    ]
-    return tuple(nonloops), rows
 
 
 @pytest.mark.parametrize(
@@ -496,12 +482,35 @@ def test_matroid_certificate_checks_in_canonical_order(m):
     for j in family:
         check = quadratic[tuple(int(i in j) for i in range(1, m.ambient + 1))]
         assert check.alpha[0] == n - 2 - len(j)
-        expected = _brute_quadratic(m, j)
+        jmask = sum(1 << (e - 1) for e in j)
+        expected = helpers.family_quadratic(m.independent_set_masks(), m.ground, jmask)
         if expected is None:
             assert check.matrix is None and check.witness_labels is None
         else:
             assert check.witness_labels == expected[0]
-            assert rows_int(check.matrix) == expected[1]
+            assert check.matrix.rows() == expected[1]
+
+
+def test_class_matrix_audit_catches_a_planted_class_pass_bug(monkeypatch):
+    # the per-check comparison of criterion 2 reads the family alone, so a
+    # class pass that moves the last of seven or more non-loops out of
+    # its class is flagged; the nine elements of U(1, 9) are all parallel
+    real = Matroid._classes_after
+
+    def planted(self, jmask, ext):
+        labels, pattern = real(self, jmask, ext)
+        if len(labels) >= 7 and pattern[-1] in pattern[:-1]:
+            pattern = pattern[:-1] + (max(pattern) + 1,)
+        return labels, pattern
+
+    monkeypatch.setattr(Matroid, "_classes_after", planted)
+    m = uniform(1, 9)
+    family, ground = m.independent_set_masks(), m.ground
+    checks = certify_clc_matroid(m).quadratic_checks()
+    flagged = [c.alpha for c in checks if not helpers.quadratic_check_agrees(c, family, ground)]
+    assert flagged == [(7,) + (0,) * 9]
+    monkeypatch.undo()
+    assert all(helpers.quadratic_check_agrees(c, family, ground) for c in checks)
 
 
 def test_matroid_certificate_lengths_build_no_checks(monkeypatch):
@@ -610,29 +619,28 @@ def test_quadratic_slice_matches_class_matrix_up_to_scale():
     for m in (uniform(1, 2), uniform(2, 3), helpers.k3(), helpers.parallel_pair_plus_free()):
         n = m.n_elements
         g = independence_polynomial(m)
+        checks = {c.alpha: c for c in certify_clc_matroid(m).quadratic_checks()}
         for jmask in range(1 << n):
             labels = tuple(i + 1 for i in range(n) if jmask >> i & 1)
             if len(labels) > n - 2 or not m.is_independent(labels):
                 continue
-            contraction = m.contract(labels)
             nprime = n - len(labels)
             alpha = [nprime - 2] + [0] * n
             for e in labels:
                 alpha[e] = 1
+            check = checks.pop(tuple(alpha))
             quad = g.derivative_multi(tuple(alpha))
             point = (1,) + (0,) * n
             full = log_concavity_test_matrix(quad, point)
-            part = contraction.parallel_partition()
-            nonloops = sorted(i for cls in part.classes for i in cls)
+            nonloops = check.witness_labels or ()
             for i in range(n + 1):
                 if i == 0 or i not in nonloops:
                     assert all(full[i, j] == 0 for j in range(n + 1))
             if not nonloops:
                 continue
             scale = Fraction(math.factorial(nprime - 2) ** 2 * (nprime - 1))
-            restricted = full.restricted(tuple(nonloops))
-            expected = matroid_quadratic_matrix(contraction).scaled(scale)
-            assert restricted == expected
+            assert full.restricted(nonloops) == check.matrix.scaled(scale)
+        assert checks == {}
 
 
 # -- spectral diagnostics --------------------------------------------------------
@@ -777,8 +785,8 @@ def test_corpus_analysis_builds_no_generating_polynomial(monkeypatch):
 
 
 def test_uniform_pair_counts_match_the_family_route():
-    # the binomial sums of U(r, n) against the bit lanes over its family,
-    # listed on the same object and held by an explicit copy
+    # the binomial sums of U(r, n), unlisted and listed, against the bit
+    # lanes over its family held by an explicit copy
     for n in range(13):
         for r in range(n + 1):
             closed = uniform(r, n)
@@ -843,6 +851,7 @@ def test_trusted_constructors_match_validated_ones(monkeypatch):
     # the corpus and on criterion 4's random polynomials, is built again
     # by the validated constructor and compared type by type
     built = {"matrix": 0, "polynomial": 0}
+    sites = set()
     trusted_matrix = SymmetricMatrix._trusted.__func__
     trusted_polynomial = SparsePolynomial._trusted.__func__
 
@@ -850,6 +859,7 @@ def test_trusted_constructors_match_validated_ones(monkeypatch):
         q = trusted_matrix(cls, rows)
         assert _typed_matrix(q) == _typed_matrix(SymmetricMatrix(rows))
         built["matrix"] += 1
+        sites.add(sys._getframe(1).f_code.co_name)
         return q
 
     def polynomial(cls, nvars, terms):
@@ -866,6 +876,11 @@ def test_trusted_constructors_match_validated_ones(monkeypatch):
         analyze_instance(iid, m, config)
         independence_polynomial(m)
         bases_polynomial(m)
+        # the first class matrix of the certificate, halved and reordered
+        matrices = (c.matrix for c in certify_clc_matroid(m).quadratic_checks())
+        q = next((q for q in matrices if q is not None), None)
+        if q is not None:
+            q.scaled(Fraction(1, 2)).restricted(range(q.dim - 1, -1, -1))
     # at least a pair matrix, f_M, g_M and p_M for each instance
     corpus_built = dict(built)
     assert corpus_built["matrix"] >= len(instances)
@@ -884,6 +899,15 @@ def test_trusted_constructors_match_validated_ones(monkeypatch):
     # at least the spectral pair matrix and two derivatives of each
     assert built["matrix"] >= corpus_built["matrix"] + 1000
     assert built["polynomial"] >= corpus_built["polynomial"] + 2000
+    # every place in the package that builds a trusted matrix
+    assert sites == {
+        "_rank_one_update",
+        "_hyperplane_nsd",
+        "_element_matrix",
+        "scaled",
+        "restricted",
+        "gurvits_minor_checks",
+    }
 
 
 # -- functional sampling -----------------------------------------------------------

@@ -49,9 +49,16 @@ from matroidlc.matroid import (
     GraphicMatroid,
     LinearMatroid,
     UniformMatroid,
+    _extensions,
     _is_prime,
     _mask_bits,
 )
+
+
+def _classes(m, jmask=0):
+    """Non-loops of M/J and their class indices, by the certificate's
+    class pass over the extension map of the listed family."""
+    return m._classes_after(jmask, _extensions(m.independent_set_masks()).__getitem__)
 
 
 # -- spec'd count and family examples -----------------------------------
@@ -64,9 +71,7 @@ def test_uniform_2_3_counts():
 def test_uniform_0_2_all_loops():
     m = uniform(0, 2)
     assert m.count_independent_by_size() == (1, 0, 0)
-    part = m.parallel_partition()
-    assert part.loops == frozenset({1, 2})
-    assert part.classes == ()
+    assert _classes(m) == ((), ())
 
 
 def test_uniform_3_3_free():
@@ -76,15 +81,13 @@ def test_uniform_3_3_free():
 def test_single_loop_matroid():
     m = single_loop()
     assert m.count_independent_by_size() == (1, 0)
-    assert m.parallel_partition().loops == frozenset({1})
+    assert _classes(m) == ((), ())
 
 
 def test_parallel_pair_plus_free_counts_and_classes():
     m = parallel_pair_plus_free()
     assert m.count_independent_by_size() == (1, 3, 2, 0)
-    part = m.parallel_partition()
-    assert part.loops == frozenset()
-    assert set(part.classes) == {frozenset({1, 2}), frozenset({3})}
+    assert _classes(m) == ((1, 2, 3), (0, 0, 1))
 
 
 def test_k3_counts():
@@ -94,12 +97,12 @@ def test_k3_counts():
 def test_parallel_edges_form_class():
     m = graphic(2, [(1, 2), (1, 2)])
     assert m.rank_of([1, 2]) == 1
-    assert set(m.parallel_partition().classes) == {frozenset({1, 2})}
+    assert _classes(m) == ((1, 2), (0, 0))
 
 
 def test_self_loop_edge_is_loop():
     m = graphic(2, [(1, 1), (1, 2)])
-    assert m.parallel_partition().loops == frozenset({1})
+    assert _classes(m) == ((2,), (0,))
     assert not m.is_independent([1])
 
 
@@ -110,13 +113,13 @@ def test_linear_gf2_matches_uniform():
 
 def test_linear_zero_column_is_loop():
     m = linear([[0, 0], [1, 0]], 3)
-    assert m.parallel_partition().loops == frozenset({1})
+    assert _classes(m) == ((2,), (0,))
 
 
 def test_linear_equal_columns_parallel():
     m = linear([[1, 1], [1, 1], [0, 1]], 0)
     assert m.rank_of([1, 2]) == 1
-    assert frozenset({1, 2}) in m.parallel_partition().classes
+    assert _classes(m) == ((1, 2, 3), (0, 0, 1))
 
 
 # -- axiom violations --------------------------------------------------------
@@ -228,9 +231,11 @@ def _mask(elements):
 
 
 def _assert_contraction_extensions(c, j, sets):
+    ext = _extensions(c.independent_set_masks())
+    assert ext.keys() == {_mask(s - j) for s in sets if j <= s}
     for a in (s - j for s in sets if j <= s):
         free = [x for x in c.ground if x not in a and j | a | {x} in sets]
-        assert c._extensions_by_test(_mask(a)) == _mask(free)
+        assert ext[_mask(a)] == _mask(free)
 
 
 # fresh instances per test: queries on them take the one-step rule, not
@@ -247,10 +252,8 @@ def test_unenumerated_queries_match_bruteforce(index):
         assert m.is_independent(subset) == (subset in sets)
         assert m.rank_of(subset) == brute_rank(sets, subset)
     assert m.rank == brute_rank(sets, m.ground)
-    for a in sets:
-        free = [x for x in m.ground if x not in a and a | {x} in sets]
-        assert m._extensions_by_test(_mask(a)) == _mask(free)
     assert m._family_cache is None or m.kind == "explicit"
+    _assert_contraction_extensions(m, frozenset(), sets)
 
 
 @FRESH
@@ -456,12 +459,15 @@ def test_uniform_counts_keep_the_bound():
     assert big._family_cache is None
 
 
-def test_uniform_counts_read_a_held_family():
-    # a family one set short shows that the held family is read, not
-    # replaced by the binomials
+def test_uniform_listing_fills_the_counts():
+    # the walk that lists U(r, n) counts it as well, so a held family
+    # always comes with its counts, and the binomials are taken only
+    # when neither is held
     m = uniform(2, 4)
-    m._family_cache = uniform(2, 4).independent_set_masks() - {0b11}
-    assert m.count_independent_by_size() == (1, 4, 5, 0, 0)
+    family = m.independent_set_masks()
+    sizes = tuple(sum(f.bit_count() == k for f in family) for k in range(5))
+    assert m._counts_cache == sizes == (1, 4, 6, 0, 0)
+    assert m.count_independent_by_size() is m._counts_cache
 
 
 def _reference_mask_bits(mask):
@@ -489,19 +495,13 @@ def test_mask_bits_is_linear_in_the_mask_length():
 
 @pytest.mark.parametrize("m", zoo(), ids=lambda m: repr(m))
 def test_pair_ranks_define_classes(m):
-    part = m.parallel_partition()
-    class_of = {}
-    for cls in part.classes:
-        for i in cls:
-            class_of[i] = cls
+    nonloops, pattern = _classes(m)
     for i in m.ground:
-        assert (m.rank_of([i]) == 0) == (i in part.loops)
-    nonloops = sorted(class_of)
-    for a in nonloops:
-        for b in nonloops:
+        assert (m.rank_of([i]) == 0) == (i not in nonloops)
+    for a, class_a in zip(nonloops, pattern):
+        for b, class_b in zip(nonloops, pattern):
             if a < b:
-                same = class_of[a] is class_of[b]
-                assert (m.rank_of([a, b]) == 1) == same
+                assert (m.rank_of([a, b]) == 1) == (class_a == class_b)
 
 
 @pytest.mark.parametrize(
@@ -541,7 +541,7 @@ def test_class_pass_matches_definition(m):
     # independent, and non-loops e != r are parallel iff J + e + r is
     # dependent; classes are numbered by their smallest member
     for j in m.independent_sets():
-        labels, pattern = m._classes_after(sum(1 << (e - 1) for e in j))
+        labels, pattern = _classes(m, sum(1 << (e - 1) for e in j))
         nonloops = [e for e in m.ground if e not in j and m.is_independent(j | {e})]
         assert list(labels) == nonloops
         for a, class_a in zip(labels, pattern):
