@@ -26,14 +26,18 @@ explicit n above it is refused before the family is built, rank-sequence
 and mason count the independent sets there without listing them (a
 uniform matroid by its binomials, with no walk), and certify-clc and
 spectral list the family there.  corpus loads no matroid, so it takes
-no bound.  A --poly input has at most MAX_POLY_NVARS = 25 variables,
-and a rational literal is bounded by matroid.parse_rational; a result
-too long to print is an OutputError.
+no bound; its size knobs have ceilings instead, checked before any work
+(below).  A --poly input has at most MAX_POLY_NVARS = 25 variables, and
+a rational literal is bounded by matroid.parse_rational; a result too
+long to print is an OutputError.
 
 The parser alone declares each setting: its flag, the namespace
 attribute it lands in and its default.  Handlers read that namespace;
-the corpus flags are generated from the CorpusConfig fields, and
---graphic-max-vertices is at most corpus.MAX_GRAPHIC_VERTICES = 6.
+the corpus flags are generated from the CorpusConfig fields, which cap
+--graphic-max-vertices at corpus.MAX_GRAPHIC_VERTICES = 6,
+--uniform-max-n and --linear-max-cols at the default enumeration bound
+20, and --explicit-max-n at 18 (an explicit draw may list a graphic base
+of n + 2 edges).
 """
 
 from __future__ import annotations

@@ -25,7 +25,9 @@ from typing import List, Tuple
 
 from .logconcavity import spectral_nd_report
 from .mason import mason_report
-from .matroid import Matroid, from_independence_family, graphic, linear, uniform
+from .matroid import (
+    DEFAULT_ENUMERATION_LIMIT, Matroid, from_independence_family, graphic, linear, uniform,
+)
 
 SCHEMA_VERSION = 1
 # largest eigenvalue a spectral diagnostic may have and still pass
@@ -49,11 +51,17 @@ class CorpusConfig:
     spectral_tolerance: float = SPECTRAL_TOLERANCE
 
     def __post_init__(self):
-        if self.graphic_max_vertices > MAX_GRAPHIC_VERTICES:
-            raise ValueError(
-                f"graphic_max_vertices must be at most {MAX_GRAPHIC_VERTICES}, "
-                f"got {self.graphic_max_vertices}"
-            )
+        # every instance is listed or counted under the default enumeration
+        # bound, an explicit draw's graphic base of explicit_max_n + 2 edges too
+        ceilings = {
+            "graphic_max_vertices": MAX_GRAPHIC_VERTICES,
+            "uniform_max_n": DEFAULT_ENUMERATION_LIMIT,
+            "linear_max_cols": DEFAULT_ENUMERATION_LIMIT,
+            "explicit_max_n": DEFAULT_ENUMERATION_LIMIT - 2,
+        }
+        for name, most in ceilings.items():
+            if getattr(self, name) > most:
+                raise ValueError(f"{name} must be at most {most}, got {getattr(self, name)}")
         # a random instance draws its size from 1..max
         for name in ("linear_max_rows", "linear_max_cols", "explicit_max_n"):
             if getattr(self, name) < 1:

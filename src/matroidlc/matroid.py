@@ -503,8 +503,8 @@ class LinearMatroid(Matroid):
 
 
 class _Contraction(Matroid):
-    """View of base / S: T is tested as S + T in the base, and steps take
-    the base's rule from the state of S."""
+    """View of base / S: its one-step rule is the base's, started from the
+    state of S, so T is independent exactly when S + T is in the base."""
 
     kind = "contraction"
 
@@ -513,24 +513,11 @@ class _Contraction(Matroid):
         self.base = base
         self.smask = smask
 
-    def _is_independent_mask(self, mask: int) -> bool:
-        return self.base._is_independent_mask(mask | self.smask)
-
     def _start(self):
         return self.base._state_of(self.smask)
 
     def _extend(self, state, e):
         return self.base._extend(state, e)
-
-    def _walk(self, found: Optional[list] = None) -> list:
-        fam = self.base._family_cache
-        if fam is None:
-            return super()._walk(found)
-        s = self.smask
-        masks = [m ^ s for m in fam if m & s == s]
-        if found is not None:
-            found.extend(masks)
-        return _sizes(masks, self.n_elements)
 
 
 # Miller-Rabin on the first 13 primes as bases decides primality exactly

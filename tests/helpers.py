@@ -1,13 +1,18 @@
-"""Shared brute-force oracles and small example matroids for tests.
+"""Reference computations and small example matroids for tests.
 
-Everything here is deliberately independent of the library internals:
-independence is re-derived from first principles (cycle search, Gaussian
-elimination, size bounds), axioms are checked over all pairs without the
-size-adjacent reduction, and ranks come from exhaustive enumeration.  The
-reference certifier walks the derivative polynomials themselves, where
-the library reads every check off the coefficients.  The class matrix of
-each matroid quadratic is read off the family by membership tests alone,
-where the library runs its class pass over one-step extension masks.
+Families, axiom checks, counts by size and pair matrices come from
+``bench/oracle.py`` (imported as ``oracle``; pytest puts ``bench`` on the
+path), which imports nothing from the program.  ``oracle_family`` reads
+a matroid's JSON description and asks the oracle of its kind.
+
+What stays here is also independent of the library internals: ranks
+come from exhaustive enumeration, jets are evaluated with every factor
+multiplied for every alpha, and the NSD test tracks its congruence at
+every pivot.  The reference certifier walks the derivative polynomials
+themselves, where the library reads every check off the coefficients.
+The class matrix of each matroid quadratic is read off the family by
+membership tests alone, where the library runs its class pass over
+one-step extension masks.
 """
 
 import random
@@ -15,6 +20,7 @@ from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from math import perm
 
+import oracle
 from matroidlc import (
     ConsistencyError,
     DegreeTooLow,
@@ -37,126 +43,29 @@ def powerset(items):
     return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
 
 
-# -- axiom oracle (all pairs, no reductions) -----------------------------
-
-
-def brute_axiom_failure(family):
-    """Return None when the family is a matroid, else the failed axiom.
-
-    Checks downward closure via all subsets of every member, and the
-    exchange property on every pair with |T| > |S|, not only adjacent
-    sizes.
-    """
-    family = {frozenset(s) for s in family}
-    if not family:
-        return "nonempty"
-    for t in family:
-        for s in powerset(t):
-            if frozenset(s) not in family:
-                return "downward-closure"
-    for s in family:
-        for t in family:
-            if len(t) > len(s) and not any(s | {i} in family for i in t - s):
-                return "exchange"
-    return None
-
-
 def brute_rank(family, subset):
     subset = frozenset(subset)
     return max(len(s) for s in family if frozenset(s) <= subset)
 
 
-# -- independence oracles per construction ---------------------------------
-
-
-def has_cycle(edges):
-    """Multigraph cycle test: a forest has |E| = |V| - #components."""
-    if any(u == v for u, v in edges):
-        return True
-    vertices = {u for e in edges for u in e}
-    adj = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = set()
-    components = 0
-    for start in vertices:
-        if start in seen:
-            continue
-        components += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return len(edges) != len(vertices) - components
-
-
-def forest_independence_family(n_edges, edges):
-    """All cycle-free edge subsets, via the brute cycle test."""
-    out = set()
-    for subset in powerset(range(n_edges)):
-        chosen = [edges[i] for i in subset]
-        if not has_cycle(chosen):
-            out.add(frozenset(i + 1 for i in subset))
-    return out
-
-
-def gaussian_rank(columns, modulus):
-    """Column rank by plain row-echelon elimination, no pivots cached."""
-    if not columns:
-        return 0
-    height = len(columns[0])
-    width = len(columns)
-    if modulus:
-        matrix = [[int(columns[j][i]) % modulus for j in range(width)] for i in range(height)]
-    else:
-        matrix = [[Fraction(columns[j][i]) for j in range(width)] for i in range(height)]
-    rank = 0
-    col = 0
-    while rank < len(matrix) and col < width:
-        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        lead = matrix[rank][col]
-        inv = pow(lead, -1, modulus) if modulus else 1 / lead
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] != 0:
-                factor = matrix[r][col] * inv
-                for c in range(col, width):
-                    val = matrix[r][c] - factor * matrix[rank][c]
-                    matrix[r][c] = val % modulus if modulus else val
-        rank += 1
-        col += 1
-    return rank
-
-
-def linear_independence_family(columns, modulus):
-    out = set()
-    for subset in powerset(range(len(columns))):
-        chosen = [columns[i] for i in subset]
-        if not chosen or gaussian_rank(chosen, modulus) == len(chosen):
-            out.add(frozenset(i + 1 for i in subset))
-    return out
+def mask_of(labels):
+    """The mask of the set of 1-based labels: a repeated label is one bit."""
+    return sum(1 << (e - 1) for e in set(labels))
 
 
 def oracle_family(m):
-    """The independent sets of a freshly built matroid, by the brute oracle
-    of its kind, read from its JSON description without enumerating it."""
+    """The independent sets of a freshly built matroid, by the oracle of
+    its kind, read from its JSON description without enumerating it."""
     obj = m.to_json()
-    n = m.n_elements
     if obj["kind"] == "uniform":
-        return {frozenset(s) for s in powerset(range(1, n + 1)) if len(s) <= obj["r"]}
+        return {frozenset(s) for s in powerset(m.ground) if len(s) <= obj["r"]}
+    if obj["kind"] == "explicit":
+        return {frozenset(s) for s in obj["sets"]}
     if obj["kind"] == "graphic":
-        return forest_independence_family(n, [tuple(e) for e in obj["edges"]])
-    if obj["kind"] == "linear":
-        columns = [[Fraction(x) for x in col] for col in obj["columns"]]
-        return linear_independence_family(columns, obj["modulus"])
-    return {frozenset(s) for s in obj["sets"]}
+        masks = oracle.forest_masks(obj["vertices"], [tuple(e) for e in obj["edges"]])
+    else:
+        masks = oracle.linear_masks(obj["columns"], obj["modulus"])
+    return {frozenset(i + 1 for i in range(x.bit_length()) if x >> i & 1) for x in masks}
 
 
 # -- example matroids ------------------------------------------------------

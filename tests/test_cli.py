@@ -20,7 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import brute_axiom_failure, polynomial_to_json, powerset
+import oracle
+from helpers import mask_of, polynomial_to_json, powerset
 from matroidlc import (
     CorpusConfig,
     Matroid,
@@ -35,7 +36,6 @@ from matroidlc import (
 )
 from matroidlc import matroid as matroid_module
 from matroidlc.corpus import SPECTRAL_TOLERANCE, connected_graphs
-from matroidlc.matroid import _Contraction
 
 U23 = {"kind": "uniform", "r": 2, "n": 3}
 K3 = {"kind": "graphic", "vertices": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
@@ -194,7 +194,8 @@ def test_validate_fuzz_ends_in_one_json_object(tmp_path, obj):
     assert "Traceback" not in err.getvalue()
     labels = [e for s in obj["sets"] for e in s]
     if all(type(e) is int and 1 <= e <= obj["n"] for e in labels):
-        verdict = brute_axiom_failure(obj["sets"])
+        # a drawn set such as [1, 1, 1] is the set {1}
+        verdict = oracle.axiom_failure({mask_of(s) for s in obj["sets"]})
         assert code == (0 if verdict is None else 1)
     else:
         assert code == 2
@@ -341,17 +342,15 @@ WALK_INPUTS = {
 
 
 def log_walks(monkeypatch) -> list:
-    """Log every walk from here on as (matroid, listing); a contraction
-    that falls back to the DFS of Matroid logs its walk once."""
+    """Log every walk from here on as (matroid, listing)."""
     log = []
-    for cls in (Matroid, _Contraction):
+    real_walk = Matroid._walk
 
-        def walk(self, found=None, _cls=cls, _walk=cls._walk):
-            if _cls is _Contraction or not isinstance(self, _Contraction):
-                log.append((self, found is not None))
-            return _walk(self, found)
+    def walk(self, found=None):
+        log.append((self, found is not None))
+        return real_walk(self, found)
 
-        monkeypatch.setattr(cls, "_walk", walk)
+    monkeypatch.setattr(Matroid, "_walk", walk)
     return log
 
 
@@ -971,6 +970,11 @@ def test_zero_denominator_is_schema_error(write_json, capsys, args, name, obj):
         ["corpus", "--linear-max-cols", "0"],
         ["corpus", "--explicit-max-n", "-1"],
         ["corpus", "--explicit-max-n", "0"],
+        # past the enumeration bound of 20 once the sweep reaches them;
+        # an explicit draw may contract a graphic base of n + 2 edges
+        ["corpus", "--uniform-max-n", "21"],
+        ["corpus", "--linear-max-cols", "21"],
+        ["corpus", "--explicit-max-n", "19"],
         # corpus loads no matroid, so it has no enumeration bound
         ["corpus", "--enumeration-bound", "3"],
         # a tolerance that is not finite gives no verdict and no JSON

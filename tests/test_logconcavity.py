@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import oracle
 from helpers import _canonical_alpha_key
 from matroidlc import corpus, logconcavity
 from matroidlc import (
@@ -183,9 +184,8 @@ def test_condition_report_matches_fraction_reference_at_rational_input(f, log_co
     # non-integral coefficients and coordinates: every scale exceeds 1
     a = (Fraction(1, 2), Fraction(2, 3), Fraction(5, 4))
     report = log_concavity_condition_report(f, a)
-    values = helpers.reference_values_at(f, a, 2)
     n = f.nvars
-    q = [[Fraction(values.get((min(i, j), max(i, j)), 0)) for j in range(n)] for i in range(n)]
+    q = oracle.hessian(f.terms, a)
     qa = [sum(x * y for x, y in zip(row, a)) for row in q]
     aqa = sum(x * y for x, y in zip(a, qa))
     assert report.condition5_matrix == SymmetricMatrix(
@@ -671,17 +671,10 @@ def test_spectral_report_json():
 
 
 def _reference_pair_matrix(f, a):
-    """f(a) and f(a) Hess f(a) - grad f(a) grad f(a)^T in Fraction
-    arithmetic at the point itself, with no cleared denominators."""
-    values = helpers.reference_values_at(f, a, 2)
-    n = f.nvars
-    fa = Fraction(values.get((), 0))
-    grad = [Fraction(values.get((i,), 0)) for i in range(n)]
-    rows = [
-        [fa * values.get((min(i, j), max(i, j)), 0) - grad[i] * grad[j] for j in range(n)]
-        for i in range(n)
-    ]
-    return fa, SymmetricMatrix(rows)
+    """f(a) and f(a) Hess f(a) - grad f(a) grad f(a)^T by the oracle, which
+    differentiates first and then evaluates in Fractions at the point
+    itself, with no cleared denominators."""
+    return oracle.evaluate(f.terms, a), SymmetricMatrix(oracle.log_hessian_numerator(f.terms, a))
 
 
 def _random_rational_polynomial(rng, nvars, homogeneous):
