@@ -7,9 +7,10 @@ Subcommands:
     mason           count sequence forms (i)/(ii)/(iii) plus certificate
     certify-clc     complete-log-concavity certificate for a matroid
                     (--input) or a raw polynomial (--poly)
-    spectral        floating eigenvalue diagnostic at a point (default
-                    all-ones); --bases switches a matroid input to its
-                    bases polynomial
+    spectral        exact log-concavity verdict at a point (default
+                    all-ones) with float eigenvalues as a diagnostic;
+                    --bases switches a matroid input to its bases
+                    polynomial
     corpus          generate-and-verify sweep over the built-in corpus
 
 Machine-readable JSON goes to standard output (or --output FILE); a
@@ -33,11 +34,12 @@ long to print is an OutputError.
 
 The parser alone declares each setting: its flag, the namespace
 attribute it lands in and its default.  Handlers read that namespace;
-the corpus flags are generated from the CorpusConfig fields, which cap
---graphic-max-vertices at corpus.MAX_GRAPHIC_VERTICES = 6,
---uniform-max-n and --linear-max-cols at the default enumeration bound
-20, and --explicit-max-n at 18 (an explicit draw may list a graphic base
-of n + 2 edges).
+the corpus flags, --seed among them, are generated from the CorpusConfig
+fields, which cap --graphic-max-vertices at
+corpus.MAX_GRAPHIC_VERTICES = 6, --uniform-max-n and --linear-max-cols
+at the default enumeration bound 20, and --explicit-max-n at 18 (an
+explicit draw may list a graphic base of n + 2 edges).  Only corpus
+draws anything at random, so only corpus takes --seed.
 """
 
 from __future__ import annotations
@@ -46,14 +48,14 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import fields
 from typing import Optional
 
-from .corpus import SCHEMA_VERSION, SPECTRAL_TOLERANCE, CorpusConfig, run_sweep
+from .corpus import SCHEMA_VERSION, CorpusConfig, run_sweep
 from .errors import AxiomViolation, EmptyFamily, MatroidLCError
+from .linalg import is_negative_semidefinite
 from .logconcavity import (
     certify_clc_matroid,
     certify_clc_quadratic_criterion,
@@ -109,7 +111,6 @@ def _emit(args: argparse.Namespace, payload: dict, summary: str, checks=None) ->
     """
     payload.setdefault("schema_version", SCHEMA_VERSION)
     payload.setdefault("command", args.command)
-    payload.setdefault("seed", args.seed)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if args.output_path:
         try:
@@ -147,12 +148,13 @@ def _emit_error(args: argparse.Namespace, exc: Exception) -> int:
     return 2
 
 
-def _json_of(result) -> dict:
-    """result.to_json(); an exact value with more digits than str()
-    writes (sys.get_int_max_str_digits()) is an input error, raised
-    before any output."""
+@contextlib.contextmanager
+def _printable():
+    """Guards the formatting of a result: an exact value with more digits
+    than str() writes (sys.get_int_max_str_digits()) is an input error,
+    raised before any output."""
     try:
-        return result.to_json()
+        yield
     except ValueError as exc:
         raise _InputError("OutputError", f"result cannot be written: {exc}") from exc
 
@@ -338,7 +340,8 @@ def _cmd_certify_clc(args: argparse.Namespace) -> int:
     else:
         source = _load_polynomial(args)
         cert = certify_clc_quadratic_criterion(source)
-    payload = _json_of(cert)
+    with _printable():
+        payload = cert.to_json()
     if not cert.accepted:
         if not verify_certificate_failure(cert, source):
             raise _InputError("ConsistencyError", "witness failed re-verification")
@@ -371,17 +374,20 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
         report = spectral_nd_report(f, point)
     except (MatroidLCError, TypeError, ValueError, OverflowError) as exc:
         raise _InputError(type(exc).__name__, str(exc)) from exc
-    ok = report.max_eigenvalue <= args.spectral_tolerance
-    payload = _json_of(report)
-    payload["tolerance"] = args.spectral_tolerance
-    payload["all_nonpositive"] = ok
+    # the witness v has v^T P v > 0, re-checked by the NSD test itself
+    nsd = is_negative_semidefinite(report.pair_matrix)
+    with _printable():
+        payload = report.to_json()
+        if not nsd.is_nsd:
+            payload["witness"] = [str(x) for x in nsd.witness]
+    payload["all_nonpositive"] = nsd.is_nsd
     _emit(
         args,
         payload,
-        f"spectral: max eigenvalue {report.max_eigenvalue:.3e} "
-        f"({'<=' if ok else '>'} {args.spectral_tolerance:g})",
+        f"spectral: pair matrix {'is' if nsd.is_nsd else 'is not'} NSD "
+        f"(max eigenvalue {report.max_eigenvalue:.3e})",
     )
-    return 0 if ok else 1
+    return 0 if nsd.is_nsd else 1
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -455,41 +461,26 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--enumeration-bound", type=int, default=DEFAULT_ENUMERATION_LIMIT,
                 help=f"max ground-set size for enumeration (<= {MAX_ENUMERATION_BOUND})",
             )
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in output")
         if poly:
             p.add_argument("--poly", dest="poly_path", metavar="POLY", help="polynomial JSON file")
-
-    def finite_float(text):
-        value = float(text)
-        if not math.isfinite(value):  # not JSON, and nan fails every comparison
-            raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-        return value
-
-    def tolerance(p, help):
-        p.add_argument(
-            "--tolerance", dest="spectral_tolerance", metavar="TOLERANCE",
-            type=finite_float, default=SPECTRAL_TOLERANCE, help=help,
-        )
 
     common(sub.add_parser("validate", help="axiom check"))
     common(sub.add_parser("rank-sequence", help="independent-set counts"))
     common(sub.add_parser("mason", help="sequence forms (i)/(ii)/(iii)"))
     common(sub.add_parser("certify-clc", help="complete log-concavity certificate"), poly=True)
-    spectral = sub.add_parser("spectral", help="floating eigenvalue diagnostic")
+    spectral = sub.add_parser(
+        "spectral", help="exact log-concavity verdict at a point, with float eigenvalues"
+    )
     common(spectral, poly=True)
     spectral.add_argument(
         "--bases", dest="use_bases", action="store_true", help="use the bases polynomial"
     )
     spectral.add_argument("--point", help="comma-separated rational coordinates")
-    tolerance(spectral, "max allowed eigenvalue")
 
     corpus = sub.add_parser("corpus", help="generate-and-verify sweep")
     common(corpus, needs_input=False)
     for f in fields(CorpusConfig):
-        if f.name == "spectral_tolerance":
-            tolerance(corpus, "spectral pass threshold")
-        elif f.name != "seed":  # --seed is common to every command
-            corpus.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
+        corpus.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
     return parser
 
 
@@ -502,9 +493,9 @@ def main(argv: Optional[list] = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         except _InputError as exc:
-            # the run's settings are not known yet: report on stdout, seed 0
+            # the run's settings are not known yet: report on stdout
             command = next((a for a in argv if a in _HANDLERS), parser.prog)
-            return _emit_error(argparse.Namespace(command=command, output_path=None, seed=0), exc)
+            return _emit_error(argparse.Namespace(command=command, output_path=None), exc)
         return run(args)
     except _StdoutError as exc:
         # what is still buffered goes to the null device, so that the

@@ -5,12 +5,12 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
 import time
 from dataclasses import fields
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from unittest.mock import ANY
@@ -35,7 +35,8 @@ from matroidlc import (
     run_sweep,
 )
 from matroidlc import matroid as matroid_module
-from matroidlc.corpus import SPECTRAL_TOLERANCE, connected_graphs
+from matroidlc.corpus import connected_graphs
+from matroidlc.linalg import NsdResult
 
 U23 = {"kind": "uniform", "r": 2, "n": 3}
 K3 = {"kind": "graphic", "vertices": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
@@ -77,7 +78,7 @@ def test_validate_accepts_uniform(write_json, capsys):
     assert code == 0
     assert payload["valid"] is True
     assert (payload["kind"], payload["n"], payload["rank"]) == ("uniform", 3, 2)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert "OK" in err
 
 
@@ -111,7 +112,7 @@ def test_validate_large_uniform_ground_is_quick(write_json, capsys, n):
     assert code == 0
     assert out == (
         '{"command":"validate","kind":"uniform","n":%d,"rank":1,'
-        '"schema_version":1,"seed":0,"valid":true}\n' % n
+        '"schema_version":2,"valid":true}\n' % n
     )
     assert elapsed < 5.0
 
@@ -411,14 +412,15 @@ def test_certify_matroid_input(write_json, capsys):
 
 
 # sha256 of stdout, recorded before matroid certificates kept their matroid
-# in place of the sorted contractions
+# in place of the sorted contractions; re-recorded at schema version 2, whose
+# only change to these bytes is "schema_version":1,"seed":0 -> "schema_version":2
 PINNED_STDOUT = {
-    ("certify-clc", "u6_12"): "e6992a17f6adeeb294ba2a3218ed611147574817c5118342b1cbbab31bead4fb",
-    ("mason", "u6_12"): "e2787264fc1a2384d9e53a14aaf4add6f9cb6967f7146ba5d39ea7a9ec315d3b",
-    ("certify-clc", "k4"): "c7a6f157a998879184092df1dd005b0bcc70ac848e52e557cf103dfd7c778e03",
-    ("mason", "k4"): "b655f6cd913ac9360e16959b276eb1112a01213a1a6652ec2fb05b09e178151d",
-    ("certify-clc", "loop_parallel"): "17902f8f3dede3678b87d8a415e6154cc6c04a8fc35fb6916b836eaf421e3c35",
-    ("mason", "loop_parallel"): "d40c5ec53a9c5030f104eb6166f3eb4b875d5cea5e6f13353ea31c4f7eed7049",
+    ("certify-clc", "u6_12"): "7ce5fa34e1e89e9e774b3bfbbc4701f83722a62d0ebe4afba5f6bdf8c29613d3",
+    ("mason", "u6_12"): "a64aabb2fcdc5e94800904d51c1bf05b79d0bf847cf28e937e465b7f6748616b",
+    ("certify-clc", "k4"): "468ad4a74d4f53436108bfdfe71b4398666e41ec7ff2e61698fb2b9689a69193",
+    ("mason", "k4"): "8753a25befc8d70f4dced14b8ca9d91d9b7f4f8b824b6f5297a13315bc3efe7a",
+    ("certify-clc", "loop_parallel"): "6c4088a9e6551184388d192a7baae4775de92ca2a965e4cf202f28bd37ff56a3",
+    ("mason", "loop_parallel"): "fc2f372fb1dc5b9df5bd04c3b7af17b31a54bfd6954fb64279e603c86451ab4c",
 }
 PINNED_INPUTS = {
     "u6_12": {"kind": "uniform", "r": 6, "n": 12},
@@ -496,7 +498,7 @@ def test_streamed_certificate_equals_library_json(
     payload = helpers.certificate_json(cert)
     if not cert.accepted:
         payload["failure"]["reverified"] = True
-    payload.update(schema_version=1, command="certify-clc", seed=0)
+    payload.update(schema_version=2, command="certify-clc")
     expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     code = 0 if cert.accepted else 1
     args = ["certify-clc", flag, write_json("in.json", obj)]
@@ -527,9 +529,11 @@ def test_certify_requires_exactly_one_source(write_json, capsys):
 
 
 def test_spectral_on_matroid(write_json, capsys):
-    code, payload, _ = invoke(capsys, ["spectral", "--input", write_json("m.json", U23)])
+    code, payload, err = invoke(capsys, ["spectral", "--input", write_json("m.json", U23)])
     assert code == 0
     assert payload["all_nonpositive"] is True
+    assert "witness" not in payload and "tolerance" not in payload
+    assert "is NSD" in err
     assert payload["max_eigenvalue"] == pytest.approx(-1 / 7)
     assert len(payload["eigenvalues"]) == 4
 
@@ -567,6 +571,7 @@ def test_spectral_flags_positive_eigenvalue(write_json, capsys):
                 "value": "5",
                 "pair_matrix": [["6", "-8"], ["-8", "-6"]],
                 "max_eigenvalue": pytest.approx(0.4),
+                "witness": ["1", "0"],
             },
         ),
         # the pair matrix is exact, but its entries over f(a)^2 exceed a float
@@ -583,17 +588,23 @@ def test_spectral_point_parsing(write_json, capsys, point, exit_code, expected):
     assert {key: payload[key] for key in expected} == expected
 
 
-def test_spectral_tolerance_changes_exit_code(write_json, capsys):
-    code, payload, _ = invoke(
-        capsys,
-        [
-            "spectral",
-            "--poly", write_json("p.json", SOS_POLY),
-            "--tolerance", "2.0",
-        ],
+def test_spectral_rejects_a_point_where_f_is_not_log_concave(write_json, capsys):
+    # x1^39 + x2^39 is log-convex on the segment from (1,0) to (0,1), so its
+    # pair matrix at (3/2, 5/7) is not NSD; the largest eigenvalue of the
+    # log-Hessian there is about 7.9e-10, which a float test of 1e-9 accepts
+    poly = {
+        "nvars": 2,
+        "terms": [{"exp": [39, 0], "coeff": "1"}, {"exp": [0, 39], "coeff": "1"}],
+    }
+    code, payload, err = invoke(
+        capsys, ["spectral", "--poly", write_json("p.json", poly), "--point", "3/2,5/7"]
     )
-    assert code == 0
-    assert payload["tolerance"] == 2.0
+    assert code == 1
+    assert payload["all_nonpositive"] is False
+    assert "is not NSD" in err
+    terms = {(39, 0): Fraction(1), (0, 39): Fraction(1)}
+    pair = oracle.log_hessian_numerator(terms, [Fraction(3, 2), Fraction(5, 7)])
+    assert oracle.quad_form(pair, [int(x) for x in payload["witness"]]) > 0
 
 
 # -- corpus ------------------------------------------------------------------------
@@ -661,14 +672,6 @@ def test_parser_is_the_single_source_of_settings():
     parsed = cli._build_parser().parse_args(["corpus"])
     config = CorpusConfig(**{f.name: getattr(parsed, f.name) for f in fields(CorpusConfig)})
     assert config == CorpusConfig()
-    (spectral,) = [a for a in _subparser("spectral")._actions if a.dest == "spectral_tolerance"]
-    assert spectral.default is CorpusConfig.spectral_tolerance is SPECTRAL_TOLERANCE
-
-
-@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
-def test_corpus_config_refuses_a_tolerance_that_is_not_finite(tolerance):
-    with pytest.raises(ValueError, match="spectral_tolerance"):
-        CorpusConfig(spectral_tolerance=tolerance)
 
 
 # -- shared plumbing ------------------------------------------------------------------
@@ -899,6 +902,23 @@ def test_value_too_long_to_write_is_one_error_object(write_json, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_witness_too_long_to_write_is_one_error_object(write_json, capsys, monkeypatch):
+    # the report itself is short; only the witness is past the digit limit
+    monkeypatch.setattr(cli, "is_negative_semidefinite", lambda q: NsdResult(False, (10**700, 1)))
+    argv = ["spectral", "--poly", write_json("p.json", SOS_POLY)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.splitlines()
+    assert [json.loads(line)["error"]["type"] for line in lines] == ["OutputError"]
+    assert "Traceback" not in captured.err
+
+
 _MONOMIAL = {"exp": [1, 1], "coeff": "1"}
 
 
@@ -977,12 +997,18 @@ def test_zero_denominator_is_schema_error(write_json, capsys, args, name, obj):
         ["corpus", "--explicit-max-n", "19"],
         # corpus loads no matroid, so it has no enumeration bound
         ["corpus", "--enumeration-bound", "3"],
-        # a tolerance that is not finite gives no verdict and no JSON
+        # verdicts are exact, so no command takes a tolerance
         ["spectral", "--poly", "p.json", "--tolerance", "nan"],
         ["spectral", "--poly", "p.json", "--tolerance", "inf"],
         ["spectral", "--poly", "p.json", "--tolerance", "1e400"],
         ["corpus", "--tolerance", "nan"],
         ["corpus", "--tolerance=-inf"],
+        # only corpus draws anything at random
+        ["validate", "--input", "m.json", "--seed", "1"],
+        ["rank-sequence", "--input", "m.json", "--seed", "1"],
+        ["mason", "--input", "m.json", "--seed", "1"],
+        ["certify-clc", "--poly", "p.json", "--seed", "1"],
+        ["spectral", "--poly", "p.json", "--seed", "1"],
     ],
 )
 def test_usage_errors_are_json(capsys, args):

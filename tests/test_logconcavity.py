@@ -769,7 +769,7 @@ def test_corpus_analysis_builds_no_generating_polynomial(monkeypatch):
     )
     instances = corpus_instances(config)
     for iid, m in instances:
-        analyze_instance(iid, m, config)
+        analyze_instance(iid, m)
     assert calls == []
     # the counter does see the polynomial route
     m = instances[-1][1]
@@ -804,10 +804,10 @@ def test_sweep_steps_through_no_uniform_instance(monkeypatch):
     current, stepped = [], set()
     analyze, extend = corpus.analyze_instance, UniformMatroid._extend
 
-    def analyzed(iid, m, config):
+    def analyzed(iid, m):
         current.append(iid)
         try:
-            return analyze(iid, m, config)
+            return analyze(iid, m)
         finally:
             current.pop()
 
@@ -823,7 +823,7 @@ def test_sweep_steps_through_no_uniform_instance(monkeypatch):
     assert sum(iid.startswith("uniform-") for iid in ids) == 91
     assert not [iid for iid in stepped if iid.startswith("uniform-")]
     # the log does see the steps of a contraction of U(r, n), which lists
-    analyzed("uniform-contracted", uniform(3, 5).contract([1]), config)
+    analyzed("uniform-contracted", uniform(3, 5).contract([1]))
     assert "uniform-contracted" in stepped
 
 
@@ -866,7 +866,7 @@ def test_trusted_constructors_match_validated_ones(monkeypatch):
     config = CorpusConfig()
     instances = corpus_instances(config)
     for iid, m in instances:
-        analyze_instance(iid, m, config)
+        analyze_instance(iid, m)
         independence_polynomial(m)
         bases_polynomial(m)
         # the first class matrix of the certificate, halved and reordered
@@ -913,13 +913,38 @@ def test_functional_sampling_holds_on_certified_polynomial():
     assert report.holds
     assert report.failures == ()
     assert report.worst_margin is not None
-    assert report.worst_margin >= -report.rel_tol
+    # the exact verdict holds; the float margin may only round below 0
+    assert report.worst_margin >= -1e-9
 
 
 def test_functional_sampling_flags_violations():
     report = sample_functional_log_concavity(SOS, trials=200, seed=0)
     assert not report.holds
     assert report.failures
+
+
+@pytest.mark.parametrize(
+    "f",
+    [SOS, Z1Z2, SQUARE, P(2, {(5, 0): 1, (0, 5): 1}), independence_polynomial(uniform(2, 4))],
+    ids=["sos", "z1z2", "square", "x1^5+x2^5", "U(2,4)"],
+)
+def test_functional_sampling_failures_are_the_exact_midpoint_violations(f):
+    # the sampler's draws, decided again from the oracle's values: a trial
+    # fails when f(u), f(v) > 0 and f(mid)^16 < f(u)^a f(v)^(16-a)
+    trials, seed = 150, 11
+    rng = random.Random(seed)
+    expected = []
+    for t in range(trials):
+        u = [Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(f.nvars)]
+        v = [Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(f.nvars)]
+        a = rng.randint(1, 15)
+        mid = [(a * x + (16 - a) * y) / 16 for x, y in zip(u, v)]
+        fu, fv, fm = (oracle.evaluate(f.terms, point) for point in (u, v, mid))
+        if fu and fv and fm**16 < fu**a * fv ** (16 - a):
+            expected.append(t)
+    report = sample_functional_log_concavity(f, trials=trials, seed=seed)
+    assert report.failures == tuple(expected)
+    assert report.holds == (not expected)
 
 
 def test_functional_sampling_requires_nonnegative_coefficients():
